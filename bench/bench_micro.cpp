@@ -21,6 +21,7 @@
 #include "duv/ifu.hpp"
 #include "duv/io_unit.hpp"
 #include "duv/l3_cache.hpp"
+#include "duv/registry.hpp"
 #include "stimgen/sampler.hpp"
 #include "tac/tac.hpp"
 #include "tgen/parser.hpp"
@@ -144,26 +145,30 @@ void BM_CoveragePopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_CoveragePopcount);
 
-// One batched kernel step: a full farm-chunk-wide simulate_batch call
-// with precompiled tables — the farm's unit of work minus scheduling.
-// items/sec here is per-simulation kernel throughput.
-void BM_DuvStep(benchmark::State& state) {
-  const duv::IoUnit io;
-  const auto& tmpl = io.defaults();
-  const auto compiled = io.compile(tmpl);
+// One kernel step per bundled unit: a farm-chunk-wide simulate_batch
+// call over the unit's defaults with precompiled tables — the farm's
+// unit of work minus scheduling. items/sec is single-core wall-clock
+// sims/sec of that unit's kernel.
+void BM_DuvStep(benchmark::State& state, const char* unit_name) {
+  const auto unit = duv::make_unit(unit_name);
+  const auto& tmpl = unit->defaults();
+  const auto compiled = unit->compile(tmpl);
   constexpr std::size_t kWidth = 64;
   std::vector<std::uint64_t> seeds(kWidth);
   std::vector<coverage::CoverageVector> out(kWidth);
   std::uint64_t next = 1;
   for (auto _ : state) {
     for (auto& s : seeds) s = next++;
-    io.simulate_batch(tmpl, compiled.get(), seeds, out);
+    unit->simulate_batch(tmpl, compiled.get(), seeds, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWidth));
 }
-BENCHMARK(BM_DuvStep);
+BENCHMARK_CAPTURE(BM_DuvStep, ifu, "ifu")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, io_unit, "io_unit")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, l3_cache, "l3_cache")->UseRealTime();
+BENCHMARK_CAPTURE(BM_DuvStep, lsu, "lsu")->UseRealTime();
 
 void BM_TacBestTemplates(benchmark::State& state) {
   const duv::IoUnit io;
@@ -195,7 +200,7 @@ void BM_FarmRun(benchmark::State& state) {
   state.counters["steals"] =
       benchmark::Counter(static_cast<double>(farm_stats.steals));
 }
-BENCHMARK(BM_FarmRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FarmRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // The flow's hot shape: many independent jobs (one per sampled
 // template) fanned across few workers in one run_all call.
@@ -215,7 +220,7 @@ void BM_FarmRunAll(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
 }
-BENCHMARK(BM_FarmRunAll)->Arg(2)->Arg(8);
+BENCHMARK(BM_FarmRunAll)->Arg(2)->Arg(8)->UseRealTime();
 
 // BM_FarmRunAll with the metrics registry mutators short-circuited, for
 // the instrumentation-overhead comparison (acceptance: enabled regresses
@@ -238,13 +243,10 @@ void BM_FarmRunAllMetricsOff(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
   obs::set_metrics_enabled(true);
 }
-BENCHMARK(BM_FarmRunAllMetricsOff)->Arg(2)->Arg(8);
+BENCHMARK(BM_FarmRunAllMetricsOff)->Arg(2)->Arg(8)->UseRealTime();
 
-// The refactor's throughput headline, measured in wall-clock time: the
-// run_all hot shape with chunks dispatched as batch-of-seeds kernel
-// calls over compiled tables. UseRealTime makes items/sec the farm's
-// true sims/sec at the given worker count (the cpu-time variants above
-// divide by a mostly-blocked main thread instead).
+// The throughput headline: the run_all hot shape with chunks
+// dispatched as batch-of-seeds kernel calls over compiled tables.
 void BM_FarmRunAllBatched(benchmark::State& state) {
   const duv::IoUnit io;
   const auto& tmpl = io.defaults();
@@ -436,7 +438,7 @@ void BM_FarmRunAllServeOn(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kJobs * kSimsPerJob));
 }
-BENCHMARK(BM_FarmRunAllServeOn)->Arg(2)->Arg(8);
+BENCHMARK(BM_FarmRunAllServeOn)->Arg(2)->Arg(8)->UseRealTime();
 
 // One durable optimizer-iteration checkpoint: serialize a realistically
 // sized IfCheckpoint (20-dim template space, 10 completed iterations)

@@ -14,7 +14,7 @@ namespace ascdg::batch {
 
 namespace {
 /// Simulations per work chunk: large enough to amortize queue overhead
-/// (and give simulate_batch a wide SoA batch), small enough to
+/// and the per-call dispatch into simulate_batch, small enough to
 /// load-balance (and steal well) across workers.
 constexpr std::size_t kChunk = 64;
 
@@ -29,9 +29,9 @@ constexpr std::size_t kNotAWorker = std::numeric_limits<std::size_t>::max();
 /// accumulator slot.
 thread_local std::size_t tls_worker = kNotAWorker;
 
-/// Per-worker batch arena: seed and coverage-vector storage reused
-/// across chunks, so the steady-state hot path performs no heap
-/// allocation (simulate_batch overwrites the vectors in place).
+/// Per-worker seed and coverage-vector storage reused across chunks,
+/// so the steady-state hot path performs no heap allocation
+/// (simulate_batch overwrites the vectors in place).
 struct Workspace {
   std::vector<std::uint64_t> seeds;
   std::vector<coverage::CoverageVector> vectors;

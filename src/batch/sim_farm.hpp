@@ -9,10 +9,10 @@
 // job, described by a POD ChunkRef on a grow-only ring buffer — no
 // per-chunk std::function, no per-chunk heap allocation once the rings
 // have grown to a run's high-water mark. A worker hands its whole chunk
-// to Duv::simulate_batch as one batch-of-seeds kernel call over
-// per-worker arena storage (seeds + coverage vectors, reused across
-// chunks); the per-template distribution tables are compiled once per
-// job (Duv::compile) and shared read-only by every chunk of that job.
+// to Duv::simulate_batch as one call, with seeds and coverage vectors
+// in a per-worker Workspace reused across chunks; the per-template
+// distribution tables are compiled once per job (Duv::compile) and
+// shared read-only by every chunk of that job.
 // Submission round-robins across the per-worker deques and an idle
 // worker steals from its peers before sleeping, so one slow chunk never
 // serializes the pool behind a global queue lock. Hit counts accumulate
@@ -20,9 +20,9 @@
 // time — the hot simulation loop takes no lock at all.
 //
 // Determinism: the seed of instance i of a run is a pure function of
-// (seed_root, i) via a SeedStream, each batch lane advances its own
-// seed's RNG stream (simulate_batch lane i is bit-identical to scalar
-// simulate(seeds[i])), and hit-count accumulation is commutative, so
+// (seed_root, i) via a SeedStream, each seed drives its own RNG stream
+// (simulate_batch's out[i] is bit-identical to simulate(seeds[i])),
+// and hit-count accumulation is commutative, so
 // results are bit-identical for any worker count, any batch width, and
 // any steal schedule.
 //

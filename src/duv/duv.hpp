@@ -13,15 +13,14 @@
 //   * thread-safe   — no mutable shared state; all simulation state is
 //     local to the call (the batch farm calls it concurrently).
 //
-// simulate_batch() is the farm's hot entry point: it advances a whole
-// span of seeds through one call, letting a unit keep per-seed state in
-// structure-of-arrays form and reuse its compiled distribution tables
-// across lanes. The default implementation is a scalar loop over
-// simulate(), so an external RTL wrapper implements only the scalar
-// method and still works everywhere (see docs/porting.md). Whatever the
-// implementation, lane i of a batch must be bit-identical to
-// simulate(tmpl, seeds[i]) — batching is an execution detail, never an
-// observable one.
+// simulate_batch() is the farm's hot entry point: it simulates a whole
+// span of seeds in one call over the template's compiled distribution
+// tables, so the per-template work is done once per job rather than
+// once per seed. The default implementation is a loop over simulate(),
+// so an external RTL wrapper implements only that method and still
+// works everywhere (see docs/porting.md). Whatever the implementation,
+// out[i] of a batch must be bit-identical to simulate(tmpl, seeds[i]) —
+// batching is an execution detail, never an observable one.
 #pragma once
 
 #include <cstdint>

@@ -105,10 +105,10 @@ Ifu::Ifu() : defaults_("ifu_defaults") {
   defaults_.add(RangeParameter{"NumFetches", 80, 240});
 }
 
-// Compiled per-template distribution tables. Entry codes turn the
-// per-draw symbol comparisons of the scalar path into integer compares:
-// code 0 means the "interesting" symbol ("taken" / "miss" / "on"),
-// anything else falls through exactly like an unmatched symbol did.
+// Compiled per-template distribution tables. Entry codes turn per-draw
+// symbol comparisons into integer compares: code 0 means the
+// "interesting" symbol ("taken" / "miss" / "on"), anything else
+// (including an unknown symbol) means the other branch.
 struct Ifu::Tables final : Duv::Compiled {
   stimgen::CompiledTemplate table;
   const stimgen::CompiledParam* num_fetches;
@@ -144,113 +144,61 @@ struct Ifu::Tables final : Duv::Compiled {
   }
 };
 
-namespace {
+void Ifu::run(const Tables& t, std::uint64_t seed,
+              coverage::CoverageVector& out) const {
+  util::Xoshiro256 rng(seed);
+  out.reset(space_.size());
+  const std::int64_t fetches = t.num_fetches->draw_range(rng);
+  std::int64_t now = 0;
+  std::int64_t last_thread = -1;
+  std::int64_t live[kCreditCap] = {};  ///< icache response timestamps
+  std::size_t live_n = 0;
 
-/// Per-worker SoA lane state, reused across batches (thread_local so
-/// every farm worker owns one arena and the kernel allocates nothing
-/// in steady state).
-struct IfuLanes {
-  std::vector<util::Xoshiro256> rng;
-  std::vector<std::int64_t> now;
-  std::vector<std::int64_t> last_thread;
-  std::vector<std::int64_t> fetches_left;
-  std::vector<std::int64_t> live;  ///< [lane * kCreditCap + e] timestamps
-  std::vector<std::uint32_t> live_n;
-  std::vector<std::uint32_t> active;
-};
+  for (std::int64_t f = 0; f < fetches; ++f) {
+    now += t.fetch_gap->draw_range(rng);
 
-IfuLanes& ifu_lanes() {
-  static thread_local IfuLanes lanes;
-  return lanes;
-}
+    // Drain entries whose icache response has arrived.
+    live_n = static_cast<std::size_t>(
+        std::remove_if(live, live + live_n,
+                       [now](std::int64_t ready) { return ready <= now; }) -
+        live);
 
-}  // namespace
+    const std::int64_t thread = std::clamp<std::int64_t>(
+        t.thread_sel->draw_int(rng), 0, kThreads - 1);
+    if (last_thread >= 0 && thread != last_thread) out.hit(ev_thread_switch_);
+    last_thread = thread;
 
-void Ifu::run_lanes(const Tables& t, std::span<const std::uint64_t> seeds,
-                    std::span<coverage::CoverageVector> out) const {
-  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
-  const std::size_t n = seeds.size();
-  IfuLanes& ws = ifu_lanes();
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  ws.now.assign(n, 0);
-  ws.last_thread.assign(n, -1);
-  ws.fetches_left.resize(n);
-  ws.live.assign(n * kCreditCap, 0);
-  ws.live_n.assign(n, 0);
-  ws.active.clear();
-  ws.active.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    ws.rng.emplace_back(seeds[l]);
-    out[l].reset(space_.size());
-    ws.fetches_left[l] = t.num_fetches->draw_range(ws.rng[l]);
-    if (ws.fetches_left[l] > 0) ws.active.push_back(static_cast<std::uint32_t>(l));
-  }
+    const std::int64_t sector = std::clamp<std::int64_t>(
+        t.sector_sel->draw_int(rng), 0, kSectors - 1);
+    const bool taken = stimgen::entry_code(*t.branch_dir, t.branch_taken,
+                                           t.branch_dir->draw_index(rng)) == 0;
 
-  // Round-robin over live lanes: every pass runs one fetch iteration
-  // per lane (per-lane RNG streams keep the interleave unobservable),
-  // retiring finished lanes by compaction.
-  while (!ws.active.empty()) {
-    std::size_t kept = 0;
-    for (const std::uint32_t l : ws.active) {
-      util::Xoshiro256& rng = ws.rng[l];
-      coverage::CoverageVector& vec = out[l];
-      std::int64_t& now = ws.now[l];
-
-      now += t.fetch_gap->draw_range(rng);
-
-      // Drain entries whose icache response has arrived (stable
-      // compaction — same survivors and order as the erase_if it ports).
-      std::int64_t* live = ws.live.data() + std::size_t{l} * kCreditCap;
-      std::uint32_t& live_n = ws.live_n[l];
-      std::uint32_t keep = 0;
-      for (std::uint32_t e = 0; e < live_n; ++e) {
-        if (live[e] > now) live[keep++] = live[e];
-      }
-      live_n = keep;
-
-      const std::int64_t thread = std::clamp<std::int64_t>(
-          t.thread_sel->draw_int(rng), 0, kThreads - 1);
-      if (ws.last_thread[l] >= 0 && thread != ws.last_thread[l]) {
-        vec.hit(ev_thread_switch_);
-      }
-      ws.last_thread[l] = thread;
-
-      const std::int64_t sector = std::clamp<std::int64_t>(
-          t.sector_sel->draw_int(rng), 0, kSectors - 1);
-      const bool taken = stimgen::entry_code(*t.branch_dir, t.branch_taken,
-                                             t.branch_dir->draw_index(rng)) == 0;
-
-      // Credit limiter: live occupancy is capped at 7, so allocation
-      // index 7 (the 8th entry) is structurally unreachable.
-      if (live_n >= kCreditCap) {
-        vec.hit(ev_stall_);
-      } else {
-        const std::size_t entry = live_n;
-
-        const bool miss = stimgen::entry_code(*t.icache, t.icache_miss,
-                                              t.icache->draw_index(rng)) == 0;
-        if (miss) vec.hit(ev_icache_miss_);
-        const std::int64_t latency = miss ? t.miss_latency->draw_range(rng)
-                                          : t.hit_latency->draw_range(rng);
-        live[live_n++] = now + latency;
-
-        const std::size_t coords[4] = {entry, static_cast<std::size_t>(thread),
-                                       static_cast<std::size_t>(sector),
-                                       taken ? std::size_t{1} : std::size_t{0}};
-        vec.hit(space_.cross_event(*cross_, coords));
-
-        // A taken branch with redirect enabled flushes the fetch buffer.
-        if (taken && stimgen::entry_code(*t.redirect, t.redirect_on,
-                                         t.redirect->draw_index(rng)) == 0) {
-          vec.hit(ev_redirect_);
-          live_n = 0;
-        }
-      }
-
-      if (--ws.fetches_left[l] > 0) ws.active[kept++] = l;
+    // Credit limiter: live occupancy is capped at 7, so allocation
+    // index 7 (the 8th entry) is structurally unreachable.
+    if (live_n >= kCreditCap) {
+      out.hit(ev_stall_);
+      continue;
     }
-    ws.active.resize(kept);
+    const std::size_t entry = live_n;
+
+    const bool miss = stimgen::entry_code(*t.icache, t.icache_miss,
+                                          t.icache->draw_index(rng)) == 0;
+    if (miss) out.hit(ev_icache_miss_);
+    const std::int64_t latency = miss ? t.miss_latency->draw_range(rng)
+                                      : t.hit_latency->draw_range(rng);
+    live[live_n++] = now + latency;
+
+    const std::size_t coords[4] = {entry, static_cast<std::size_t>(thread),
+                                   static_cast<std::size_t>(sector),
+                                   taken ? std::size_t{1} : std::size_t{0}};
+    out.hit(space_.cross_event(*cross_, coords));
+
+    // A taken branch with redirect enabled flushes the fetch buffer.
+    if (taken && stimgen::entry_code(*t.redirect, t.redirect_on,
+                                     t.redirect->draw_index(rng)) == 0) {
+      out.hit(ev_redirect_);
+      live_n = 0;
+    }
   }
 }
 
@@ -261,10 +209,8 @@ std::unique_ptr<Ifu::Tables> Ifu::make_tables(
 
 coverage::CoverageVector Ifu::simulate(const tgen::TestTemplate& tmpl,
                                        std::uint64_t seed) const {
-  coverage::CoverageVector vec(space_.size());
-  const auto tables = make_tables(tmpl);
-  run_lanes(*tables, std::span<const std::uint64_t>(&seed, 1),
-            std::span<coverage::CoverageVector>(&vec, 1));
+  coverage::CoverageVector vec;
+  run(*make_tables(tmpl), seed, vec);
   return vec;
 }
 
@@ -277,13 +223,13 @@ void Ifu::simulate_batch(const tgen::TestTemplate& tmpl,
                          const Compiled* compiled,
                          std::span<const std::uint64_t> seeds,
                          std::span<coverage::CoverageVector> out) const {
-  if (compiled == nullptr) {
-    run_lanes(*make_tables(tmpl), seeds, out);
-    return;
-  }
-  const auto* tables = dynamic_cast<const Tables*>(compiled);
+  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
+  const std::unique_ptr<Tables> owned =
+      compiled == nullptr ? make_tables(tmpl) : nullptr;
+  const Tables* tables =
+      owned ? owned.get() : dynamic_cast<const Tables*>(compiled);
   ASCDG_ASSERT(tables != nullptr, "compiled tables do not belong to this unit");
-  run_lanes(*tables, seeds, out);
+  for (std::size_t i = 0; i < seeds.size(); ++i) run(*tables, seeds[i], out[i]);
 }
 
 std::vector<tgen::TestTemplate> Ifu::suite() const {

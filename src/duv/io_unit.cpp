@@ -161,7 +161,7 @@ IoUnit::IoUnit() : defaults_("io_unit_defaults") {
 }
 
 // Compiled per-template distribution tables. Cmd codes index straight
-// into ev_cmd_ (unmatched symbols decay to read, like the scalar scan);
+// into ev_cmd_ (unmatched symbols decay to read);
 // ErrInject codes are 0 off / 1 crc_err / 2 any-other-symbol; AddrMode
 // codes are 0 seq / 1 rand / 2 wrap-or-unknown.
 struct IoUnit::Tables final : Duv::Compiled {
@@ -202,150 +202,99 @@ struct IoUnit::Tables final : Duv::Compiled {
   }
 };
 
-namespace {
+void IoUnit::run(const Tables& t, std::uint64_t seed,
+                 coverage::CoverageVector& out) const {
+  util::Xoshiro256 rng(seed);
+  out.reset(space_.size());
+  const std::int64_t ops = t.num_ops->draw_range(rng);
+  const std::int64_t credit_limit =
+      std::min<std::int64_t>(t.credit_limit->draw_range(rng), kCreditCap);
+  std::int64_t credits = credit_limit;
+  std::int64_t crc_acc = 0;      ///< beats in the open transfer
+  std::int64_t best_commit = 0;  ///< longest *committed* transfer
 
-/// Per-worker SoA lane state, reused across batches.
-struct IoLanes {
-  std::vector<util::Xoshiro256> rng;
-  std::vector<std::int64_t> credits;
-  std::vector<std::int64_t> credit_limit;
-  std::vector<std::int64_t> crc_acc;      ///< beats in the open transfer
-  std::vector<std::int64_t> best_commit;  ///< longest *committed* transfer
-  std::vector<std::int64_t> ops_left;
-  std::vector<std::uint32_t> active;
-};
+  // A transfer only counts toward the crc_* family when it is closed by
+  // a crc_done command. Anything else that ends it (errors, resetting
+  // commands, gap timeout, link retrain) aborts it uncommitted.
+  for (std::int64_t op = 0; op < ops; ++op) {
+    // Inter-command gap: refills credits; too long a gap times the
+    // in-progress CRC transfer out.
+    const std::int64_t gap = t.gap_delay->draw_range(rng);
+    if (crc_acc > 0 && gap > kGapTimeout) crc_acc = 0;
+    credits = std::min(credit_limit, credits + 1 + gap / 8);
 
-IoLanes& io_lanes() {
-  static thread_local IoLanes lanes;
-  return lanes;
-}
+    // Error injection pre-empts the command.
+    const std::int32_t err = stimgen::entry_code(
+        *t.err_inject, t.err_codes, t.err_inject->draw_index(rng));
+    if (err != 0) {
+      out.hit(err == 1 ? ev_err_crc_ : ev_err_parity_);
+      crc_acc = 0;
+      continue;
+    }
 
-}  // namespace
+    // Per-command side activity (always-hit shallow events).
+    const std::int32_t addr = stimgen::entry_code(
+        *t.addr_mode, t.addr_codes, t.addr_mode->draw_index(rng));
+    out.hit(ev_addr_[static_cast<std::size_t>(addr)]);
+    const std::int64_t qos = t.qos->draw_int(rng);
+    out.hit(
+        ev_qos_[static_cast<std::size_t>(std::clamp<std::int64_t>(qos, 0, 3))]);
+    const std::int64_t pkt = t.packet_size->draw_range(rng);
+    out.hit(ev_pkt_[pkt <= 32 ? 0 : pkt <= 128 ? 1 : 2]);
 
-void IoUnit::run_lanes(const Tables& t, std::span<const std::uint64_t> seeds,
-                       std::span<coverage::CoverageVector> out) const {
-  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
-  const std::size_t n = seeds.size();
-  IoLanes& ws = io_lanes();
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  ws.credits.resize(n);
-  ws.credit_limit.resize(n);
-  ws.crc_acc.assign(n, 0);
-  ws.best_commit.assign(n, 0);
-  ws.ops_left.resize(n);
-  ws.active.clear();
-  ws.active.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    ws.rng.emplace_back(seeds[l]);
-    out[l].reset(space_.size());
-    ws.ops_left[l] = t.num_ops->draw_range(ws.rng[l]);
-    ws.credit_limit[l] =
-        std::min<std::int64_t>(t.credit_limit->draw_range(ws.rng[l]), kCreditCap);
-    ws.credits[l] = ws.credit_limit[l];
-    if (ws.ops_left[l] > 0) ws.active.push_back(static_cast<std::uint32_t>(l));
-  }
+    const auto cmd_index = static_cast<std::size_t>(
+        stimgen::entry_code(*t.cmd, t.cmd_codes, t.cmd->draw_index(rng)));
+    out.hit(ev_cmd_[cmd_index]);
 
-  while (!ws.active.empty()) {
-    std::size_t kept = 0;
-    for (const std::uint32_t l : ws.active) {
-      util::Xoshiro256& rng = ws.rng[l];
-      coverage::CoverageVector& vec = out[l];
-      std::int64_t& credits = ws.credits[l];
-      std::int64_t& crc_acc = ws.crc_acc[l];
-
-      // A transfer only counts toward the crc_* family when it is
-      // closed by a crc_done command. Anything else that ends it
-      // (errors, resetting commands, gap timeout, link retrain) aborts
-      // it uncommitted.
-
-      // Inter-command gap: refills credits; too long a gap times the
-      // in-progress CRC transfer out.
-      const std::int64_t gap = t.gap_delay->draw_range(rng);
-      if (crc_acc > 0 && gap > kGapTimeout) crc_acc = 0;
-      credits = std::min(ws.credit_limit[l], credits + 1 + gap / 8);
-
-      // Error injection pre-empts the command.
-      const std::int32_t err = stimgen::entry_code(
-          *t.err_inject, t.err_codes, t.err_inject->draw_index(rng));
-      if (err != 0) {
-        vec.hit(err == 1 ? ev_err_crc_ : ev_err_parity_);
-        crc_acc = 0;
-      } else {
-        // Per-command side activity (always-hit shallow events).
-        const std::int32_t addr = stimgen::entry_code(
-            *t.addr_mode, t.addr_codes, t.addr_mode->draw_index(rng));
-        vec.hit(ev_addr_[static_cast<std::size_t>(addr)]);
-        const std::int64_t qos = t.qos->draw_int(rng);
-        vec.hit(
-            ev_qos_[static_cast<std::size_t>(std::clamp<std::int64_t>(qos, 0, 3))]);
-        const std::int64_t pkt = t.packet_size->draw_range(rng);
-        vec.hit(ev_pkt_[pkt <= 32 ? 0 : pkt <= 128 ? 1 : 2]);
-
-        const auto cmd_index = static_cast<std::size_t>(
-            stimgen::entry_code(*t.cmd, t.cmd_codes, t.cmd->draw_index(rng)));
-        vec.hit(ev_cmd_[cmd_index]);
-
-        switch (cmd_index) {
-          case kCrcWrite: {
-            const std::int64_t burst = t.burst_len->draw_range(rng);
-            if (credits <= 0) {
-              // No credits at all: the transfer stalls long enough to die.
-              vec.hit(ev_credit_stall_);
-              crc_acc = 0;
-              break;
-            }
-            const std::int64_t consumed = std::min(burst, credits);
-            credits -= consumed;
-            if (consumed < burst) vec.hit(ev_burst_partial_);
-            // Link hazard: each beat independently risks a retrain that
-            // kills the transfer. This is environment noise no template
-            // parameter can disable, and it is what gives the crc_*
-            // family its gradient even under an optimal template.
-            bool retrained = false;
-            for (std::int64_t beat = 0; beat < consumed; ++beat) {
-              ++crc_acc;
-              if (rng.bernoulli(kBeatHazard)) {
-                retrained = true;
-                break;
-              }
-            }
-            if (retrained) {
-              vec.hit(ev_link_retrain_);
-              crc_acc = 0;
-            }
-            break;
-          }
-          case kCrcDone:
-            if (crc_acc > 0) {
-              ws.best_commit[l] = std::max(ws.best_commit[l], crc_acc);
-              vec.hit(ev_crc_commit_);
-              crc_acc = 0;
-            }
-            break;
-          case kRead:
-          case kNop:
-            // Neutral: does not disturb an in-progress CRC transfer.
-            break;
-          case kWrite:
-          case kCtrl:
-          case kAbort:
+    switch (cmd_index) {
+      case kCrcWrite: {
+        const std::int64_t burst = t.burst_len->draw_range(rng);
+        if (credits <= 0) {
+          // No credits at all: the transfer stalls long enough to die.
+          out.hit(ev_credit_stall_);
+          crc_acc = 0;
+          break;
+        }
+        const std::int64_t consumed = std::min(burst, credits);
+        credits -= consumed;
+        if (consumed < burst) out.hit(ev_burst_partial_);
+        // Link hazard: each beat independently risks a retrain that
+        // kills the transfer. This is environment noise no template
+        // parameter can disable, and it is what gives the crc_* family
+        // its gradient even under an optimal template.
+        for (std::int64_t beat = 0; beat < consumed; ++beat) {
+          ++crc_acc;
+          if (rng.bernoulli(kBeatHazard)) {
+            out.hit(ev_link_retrain_);
             crc_acc = 0;
             break;
-          default:
-            break;
+          }
         }
+        break;
       }
-
-      if (--ws.ops_left[l] > 0) ws.active[kept++] = l;
+      case kCrcDone:
+        if (crc_acc > 0) {
+          best_commit = std::max(best_commit, crc_acc);
+          out.hit(ev_crc_commit_);
+          crc_acc = 0;
+        }
+        break;
+      case kRead:
+      case kNop:
+        // Neutral: does not disturb an in-progress CRC transfer.
+        break;
+      case kWrite:
+      case kCtrl:
+      case kAbort:
+        crc_acc = 0;
+        break;
+      default:
+        break;
     }
-    ws.active.resize(kept);
   }
 
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t i = 0; i < crc_events_.size(); ++i) {
-      if (ws.best_commit[l] >= kCrcThresholds[i]) out[l].hit(crc_events_[i]);
-    }
+  for (std::size_t i = 0; i < crc_events_.size(); ++i) {
+    if (best_commit >= kCrcThresholds[i]) out.hit(crc_events_[i]);
   }
 }
 
@@ -356,10 +305,8 @@ std::unique_ptr<IoUnit::Tables> IoUnit::make_tables(
 
 coverage::CoverageVector IoUnit::simulate(const tgen::TestTemplate& tmpl,
                                           std::uint64_t seed) const {
-  coverage::CoverageVector vec(space_.size());
-  const auto tables = make_tables(tmpl);
-  run_lanes(*tables, std::span<const std::uint64_t>(&seed, 1),
-            std::span<coverage::CoverageVector>(&vec, 1));
+  coverage::CoverageVector vec;
+  run(*make_tables(tmpl), seed, vec);
   return vec;
 }
 
@@ -372,13 +319,13 @@ void IoUnit::simulate_batch(const tgen::TestTemplate& tmpl,
                             const Compiled* compiled,
                             std::span<const std::uint64_t> seeds,
                             std::span<coverage::CoverageVector> out) const {
-  if (compiled == nullptr) {
-    run_lanes(*make_tables(tmpl), seeds, out);
-    return;
-  }
-  const auto* tables = dynamic_cast<const Tables*>(compiled);
+  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
+  const std::unique_ptr<Tables> owned =
+      compiled == nullptr ? make_tables(tmpl) : nullptr;
+  const Tables* tables =
+      owned ? owned.get() : dynamic_cast<const Tables*>(compiled);
   ASCDG_ASSERT(tables != nullptr, "compiled tables do not belong to this unit");
-  run_lanes(*tables, seeds, out);
+  for (std::size_t i = 0; i < seeds.size(); ++i) run(*tables, seeds[i], out[i]);
 }
 
 std::vector<tgen::TestTemplate> IoUnit::suite() const {

@@ -142,9 +142,9 @@ L3Cache::L3Cache() : defaults_("l3_defaults") {
 }
 
 // Compiled per-template distribution tables. Entry codes map ReqType
-// entries onto kReqNames indices (unmatched symbols fall back to "read"
-// like the scalar linear scan did), AddrLocality onto {line=0, page=1,
-// other=2}, and BypassHint onto {on=0, other=1}.
+// entries onto kReqNames indices (unmatched symbols fall back to
+// "read"), AddrLocality onto {line=0, page=1, other=2}, and BypassHint
+// onto {on=0, other=1}.
 struct L3Cache::Tables final : Duv::Compiled {
   stimgen::CompiledTemplate table;
   const stimgen::CompiledParam* num_reqs;
@@ -180,150 +180,85 @@ struct L3Cache::Tables final : Duv::Compiled {
   }
 };
 
-namespace {
+void L3Cache::run(const Tables& t, std::uint64_t seed,
+                  coverage::CoverageVector& out) const {
+  util::Xoshiro256 rng(seed);
+  out.reset(space_.size());
+  const std::int64_t reqs = t.num_reqs->draw_range(rng);
+  std::int64_t now = 0;
+  std::size_t write_queue = 0;
+  std::size_t max_wrq = 0;
+  std::size_t max_concurrency = 0;
+  std::int64_t tracker[kTrackerDepth] = {};  ///< bypass completion times
+  std::size_t trk_n = 0;
 
-/// Per-worker SoA lane state, reused across batches (thread_local so
-/// every farm worker owns one arena and the kernel allocates nothing
-/// in steady state).
-struct L3Lanes {
-  std::vector<util::Xoshiro256> rng;
-  std::vector<std::int64_t> now;
-  std::vector<std::int64_t> reqs_left;
-  std::vector<std::size_t> write_queue;
-  std::vector<std::size_t> max_wrq;
-  std::vector<std::size_t> max_concurrency;
-  std::vector<std::int64_t> tracker;  ///< [lane * kTrackerDepth + e] completion times
-  std::vector<std::uint32_t> trk_n;
-  std::vector<std::uint32_t> active;
-};
+  for (std::int64_t r = 0; r < reqs; ++r) {
+    now += t.inter_arrival->draw_range(rng);
 
-L3Lanes& l3_lanes() {
-  static thread_local L3Lanes lanes;
-  return lanes;
-}
+    // Retire completed bypass responses.
+    trk_n = static_cast<std::size_t>(
+        std::remove_if(tracker, tracker + trk_n,
+                       [now](std::int64_t done) { return done <= now; }) -
+        tracker);
+    // Write queue drains one entry per slot.
+    if (write_queue > 0) --write_queue;
 
-}  // namespace
+    const auto req_index = static_cast<std::size_t>(stimgen::entry_code(
+        *t.req_type, t.req_codes, t.req_type->draw_index(rng)));
+    out.hit(ev_req_[req_index]);
 
-void L3Cache::run_lanes(const Tables& t, std::span<const std::uint64_t> seeds,
-                        std::span<coverage::CoverageVector> out) const {
-  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
-  const std::size_t n = seeds.size();
-  L3Lanes& ws = l3_lanes();
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  ws.now.assign(n, 0);
-  ws.reqs_left.resize(n);
-  ws.write_queue.assign(n, 0);
-  ws.max_wrq.assign(n, 0);
-  ws.max_concurrency.assign(n, 0);
-  ws.tracker.assign(n * kTrackerDepth, 0);
-  ws.trk_n.assign(n, 0);
-  ws.active.clear();
-  ws.active.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    ws.rng.emplace_back(seeds[l]);
-    out[l].reset(space_.size());
-    ws.reqs_left[l] = t.num_reqs->draw_range(ws.rng[l]);
-    if (ws.reqs_left[l] > 0) ws.active.push_back(static_cast<std::uint32_t>(l));
+    const std::int64_t thread = t.thread_sel->draw_int(rng);
+    out.hit(ev_thread_[static_cast<std::size_t>(
+        std::clamp<std::int64_t>(thread, 0, 3))]);
+
+    // Directory lookup: locality controls the hit probability.
+    const std::int32_t loc = stimgen::entry_code(
+        *t.addr_locality, t.loc_codes, t.addr_locality->draw_index(rng));
+    const double hit_p = loc == 0 ? 0.85 : loc == 1 ? 0.55 : 0.15;
+    const bool dir_hit = rng.bernoulli(hit_p);
+    out.hit(dir_hit ? ev_hit_ : ev_miss_);
+
+    // Write queue occupancy family (secondary, easier family).
+    if (req_index == kReqWrite || req_index == kReqCastout) {
+      const auto burst =
+          static_cast<std::size_t>(t.write_burst->draw_range(rng));
+      write_queue = std::min(write_queue + burst, kWriteQueueDepth);
+      max_wrq = std::max(max_wrq, write_queue);
+    }
+
+    // Bypass eligibility: nc_read and dma always; hinted read misses
+    // too. BypassHint is only drawn on a read miss.
+    const bool wants_bypass =
+        req_index == kReqNcRead || req_index == kReqDma ||
+        (req_index == kReqRead && !dir_hit &&
+         stimgen::entry_code(*t.bypass_hint, t.hint_codes,
+                             t.bypass_hint->draw_index(rng)) == 0);
+    if (!wants_bypass) continue;
+    if (trk_n >= kTrackerDepth) {
+      out.hit(ev_tracker_full_);
+      continue;
+    }
+    // Occupancy backpressure: above kNackThreshold in-flight entries,
+    // the accept probability falls off quadratically, reaching 1% just
+    // below full occupancy -- the family's "descent gradient".
+    if (trk_n >= kNackThreshold) {
+      const double headroom =
+          static_cast<double>(kTrackerDepth - trk_n) /
+          static_cast<double>(kTrackerDepth - kNackThreshold + 1);
+      if (!rng.bernoulli(headroom * headroom)) {
+        out.hit(ev_nack_);
+        continue;
+      }
+    }
+    tracker[trk_n++] = now + t.resp_delay->draw_range(rng);
+    max_concurrency = std::max(max_concurrency, trk_n);
   }
 
-  // Round-robin over live lanes: every pass runs one request slot per
-  // lane (per-lane RNG streams keep the interleave unobservable),
-  // retiring finished lanes by compaction.
-  while (!ws.active.empty()) {
-    std::size_t kept = 0;
-    for (const std::uint32_t l : ws.active) {
-      util::Xoshiro256& rng = ws.rng[l];
-      coverage::CoverageVector& vec = out[l];
-      std::int64_t& now = ws.now[l];
-
-      now += t.inter_arrival->draw_range(rng);
-
-      // Retire completed bypass responses (the scalar path popped a
-      // min-heap until its top exceeded `now`; unordered compaction
-      // removes the same set of entries).
-      std::int64_t* trk = ws.tracker.data() + std::size_t{l} * kTrackerDepth;
-      std::uint32_t& trk_n = ws.trk_n[l];
-      std::uint32_t keep = 0;
-      for (std::uint32_t e = 0; e < trk_n; ++e) {
-        if (trk[e] > now) trk[keep++] = trk[e];
-      }
-      trk_n = keep;
-      // Write queue drains one entry per slot.
-      if (ws.write_queue[l] > 0) --ws.write_queue[l];
-
-      const auto req_index = static_cast<std::size_t>(stimgen::entry_code(
-          *t.req_type, t.req_codes, t.req_type->draw_index(rng)));
-      vec.hit(ev_req_[req_index]);
-
-      const std::int64_t thread = t.thread_sel->draw_int(rng);
-      vec.hit(ev_thread_[static_cast<std::size_t>(
-          std::clamp<std::int64_t>(thread, 0, 3))]);
-
-      // Directory lookup: locality controls the hit probability.
-      const std::int32_t loc = stimgen::entry_code(
-          *t.addr_locality, t.loc_codes, t.addr_locality->draw_index(rng));
-      const double hit_p = loc == 0 ? 0.85 : loc == 1 ? 0.55 : 0.15;
-      const bool dir_hit = rng.bernoulli(hit_p);
-      vec.hit(dir_hit ? ev_hit_ : ev_miss_);
-
-      // Write queue occupancy family (secondary, easier family).
-      if (req_index == kReqWrite || req_index == kReqCastout) {
-        const auto burst =
-            static_cast<std::size_t>(t.write_burst->draw_range(rng));
-        ws.write_queue[l] = std::min(ws.write_queue[l] + burst, kWriteQueueDepth);
-        ws.max_wrq[l] = std::max(ws.max_wrq[l], ws.write_queue[l]);
-      }
-
-      // Bypass eligibility: nc_read and dma always; hinted read misses
-      // too. BypassHint is only drawn on a read miss — same short-circuit
-      // as the scalar expression this ports.
-      const bool wants_bypass =
-          req_index == kReqNcRead || req_index == kReqDma ||
-          (req_index == kReqRead && !dir_hit &&
-           stimgen::entry_code(*t.bypass_hint, t.hint_codes,
-                               t.bypass_hint->draw_index(rng)) == 0);
-      if (wants_bypass) {
-        const std::size_t occupancy = trk_n;
-        if (occupancy >= kTrackerDepth) {
-          vec.hit(ev_tracker_full_);
-        } else {
-          // Occupancy backpressure: above kNackThreshold in-flight
-          // entries, the accept probability falls off quadratically,
-          // reaching 1% just below full occupancy -- the family's
-          // "descent gradient".
-          bool accepted = true;
-          if (occupancy >= kNackThreshold) {
-            const double headroom =
-                static_cast<double>(kTrackerDepth - occupancy) /
-                static_cast<double>(kTrackerDepth - kNackThreshold + 1);
-            const double accept = headroom * headroom;
-            if (!rng.bernoulli(accept)) {
-              vec.hit(ev_nack_);
-              accepted = false;
-            }
-          }
-          if (accepted) {
-            const std::int64_t delay = t.resp_delay->draw_range(rng);
-            trk[trk_n++] = now + delay;
-            ws.max_concurrency[l] =
-                std::max<std::size_t>(ws.max_concurrency[l], trk_n);
-          }
-        }
-      }
-
-      if (--ws.reqs_left[l] > 0) ws.active[kept++] = l;
-    }
-    ws.active.resize(kept);
+  for (std::size_t k = 0; k < byp_events_.size(); ++k) {
+    if (max_concurrency >= k + 1) out.hit(byp_events_[k]);
   }
-
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t k = 0; k < byp_events_.size(); ++k) {
-      if (ws.max_concurrency[l] >= k + 1) out[l].hit(byp_events_[k]);
-    }
-    for (std::size_t k = 0; k < wrq_events_.size(); ++k) {
-      if (ws.max_wrq[l] >= k + 1) out[l].hit(wrq_events_[k]);
-    }
+  for (std::size_t k = 0; k < wrq_events_.size(); ++k) {
+    if (max_wrq >= k + 1) out.hit(wrq_events_[k]);
   }
 }
 
@@ -334,10 +269,8 @@ std::unique_ptr<L3Cache::Tables> L3Cache::make_tables(
 
 coverage::CoverageVector L3Cache::simulate(const tgen::TestTemplate& tmpl,
                                            std::uint64_t seed) const {
-  coverage::CoverageVector vec(space_.size());
-  const auto tables = make_tables(tmpl);
-  run_lanes(*tables, std::span<const std::uint64_t>(&seed, 1),
-            std::span<coverage::CoverageVector>(&vec, 1));
+  coverage::CoverageVector vec;
+  run(*make_tables(tmpl), seed, vec);
   return vec;
 }
 
@@ -350,13 +283,13 @@ void L3Cache::simulate_batch(const tgen::TestTemplate& tmpl,
                              const Compiled* compiled,
                              std::span<const std::uint64_t> seeds,
                              std::span<coverage::CoverageVector> out) const {
-  if (compiled == nullptr) {
-    run_lanes(*make_tables(tmpl), seeds, out);
-    return;
-  }
-  const auto* tables = dynamic_cast<const Tables*>(compiled);
+  ASCDG_ASSERT(seeds.size() == out.size(), "batch seed/out size mismatch");
+  const std::unique_ptr<Tables> owned =
+      compiled == nullptr ? make_tables(tmpl) : nullptr;
+  const Tables* tables =
+      owned ? owned.get() : dynamic_cast<const Tables*>(compiled);
   ASCDG_ASSERT(tables != nullptr, "compiled tables do not belong to this unit");
-  run_lanes(*tables, seeds, out);
+  for (std::size_t i = 0; i < seeds.size(); ++i) run(*tables, seeds[i], out[i]);
 }
 
 std::vector<tgen::TestTemplate> L3Cache::suite() const {

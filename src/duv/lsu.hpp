@@ -56,9 +56,10 @@ class Lsu final : public Duv {
   struct Tables;
   [[nodiscard]] std::unique_ptr<Tables> make_tables(
       const tgen::TestTemplate& tmpl) const;
-  /// The one simulation kernel: lane i advances seeds[i] into out[i].
-  void run_lanes(const Tables& tables, std::span<const std::uint64_t> seeds,
-                 std::span<coverage::CoverageVector> out) const;
+  /// The one simulation kernel: simulates `seed` into `out` (reset
+  /// first). simulate() calls it once; simulate_batch() once per seed.
+  void run(const Tables& tables, std::uint64_t seed,
+           coverage::CoverageVector& out) const;
 
   coverage::CoverageSpace space_;
   tgen::TestTemplate defaults_;

@@ -28,7 +28,7 @@ namespace ascdg::exec {
 namespace {
 
 /// Simulations per worker chunk — same granularity as the thread farm
-/// (the lane-i ≡ scalar contract makes results independent of chunk
+/// (out[i] ≡ simulate(seeds[i]) makes results independent of chunk
 /// size either way; matching keeps simulate_batch widths comparable).
 constexpr std::size_t kChunk = 64;
 

@@ -15,7 +15,7 @@
 // summation order for total weights, and the same error behaviour
 // (util::ValidationError with identical messages, thrown at draw time,
 // not compile time). Unit kernels hold CompiledParam pointers resolved
-// at compile time and draw through them per lane.
+// at compile time and draw through them for every seed.
 #pragma once
 
 #include <cstdint>

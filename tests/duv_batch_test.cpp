@@ -2,7 +2,7 @@
 // bit-identical to the scalar simulate() path — for every unit, at every
 // batch width, with and without precompiled tables, and through the
 // SimFarm at any worker count. This is the non-negotiable determinism
-// contract of the SoA lane kernels: instance i's coverage is a pure
+// contract of the per-seed kernels: instance i's coverage is a pure
 // function of (seed_root, i), and batching is an execution detail, never
 // an observable one.
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ namespace {
 
 constexpr std::uint64_t kSeedRoot = 0xB5;
 
-/// The batch widths every equivalence test sweeps: a single lane, a
+/// The batch widths every equivalence test sweeps: a single seed, a
 /// width that is neither 1 nor a power of two, and the farm's full
 /// chunk width.
 constexpr std::size_t kWidths[] = {1, 7, 64};
@@ -116,8 +116,8 @@ TEST_P(BatchEquivalence, BatchOverwritesStaleOutputState) {
   const auto stale = make_seeds(7, 99);
   const auto seeds = make_seeds(7);
   // Dirty the output vectors with another batch first: the second call
-  // must fully overwrite them (the farm's per-worker arenas recycle the
-  // same vectors chunk after chunk).
+  // must fully overwrite them (the farm's per-worker Workspace recycles
+  // the same vectors chunk after chunk).
   std::vector<coverage::CoverageVector> out(7);
   duv->simulate_batch(tmpl, nullptr, stale,
                       std::span<coverage::CoverageVector>(out));

@@ -216,6 +216,13 @@ struct BadOptionsCase {
   std::size_t x0_dim;
 };
 
+// Print the case by its label so the discovered test name is the same on
+// every build; gtest otherwise dumps the struct's raw bytes, pointers
+// included.
+void PrintTo(const BadOptionsCase& c, std::ostream* os) {
+  *os << '"' << c.label << '"';
+}
+
 class ImplicitFilteringBadOptions
     : public ::testing::TestWithParam<BadOptionsCase> {};
 

@@ -1,11 +1,17 @@
 // Tests for the biased-random parameter sampler: override/default
-// fallback, draw semantics per parameter kind, and distribution
-// correctness (chi-square goodness of fit).
+// fallback, draw semantics per parameter kind, distribution correctness
+// (chi-square goodness of fit), and the compiled draw path checked
+// draw for draw against the sampler.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "stimgen/compiled.hpp"
 #include "stimgen/profile.hpp"
 #include "stimgen/sampler.hpp"
 #include "tgen/parser.hpp"
@@ -178,6 +184,13 @@ struct WeightShape {
   std::vector<double> weights;
 };
 
+// Print the case by its label so the discovered test name is the same on
+// every build; gtest otherwise dumps the struct's raw bytes, pointers
+// included.
+void PrintTo(const WeightShape& c, std::ostream* os) {
+  *os << '"' << c.label << '"';
+}
+
 class WeightFidelity : public ::testing::TestWithParam<WeightShape> {};
 
 TEST_P(WeightFidelity, ChiSquareWithinCritical) {
@@ -211,6 +224,130 @@ INSTANTIATE_TEST_SUITE_P(
                       WeightShape{"two_values", {7, 3}},
                       WeightShape{"extreme_skew", {10000, 1}}),
     [](const auto& info) { return info.param.label; });
+
+// ------------------------------------------------------ compiled path --
+
+// Overrides for Cmd (an extra symbol), Delay and Size (a zero-weight
+// subrange); Thr stays at its default.
+TestTemplate compiled_overrides() {
+  return parse_template(R"(
+    template o {
+      weight Cmd { read: 1, write: 3, flush: 2 }
+      range Delay [3, 5]
+      subrange Size { [10, 12]: 1, [20, 20]: 2, [30, 31]: 0 }
+    }
+  )");
+}
+
+// The message of the util::ValidationError that `draw` throws, or ""
+// when it throws none.
+template <typename Draw>
+std::string validation_message(Draw&& draw) {
+  try {
+    (void)draw();
+  } catch (const ValidationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CompiledParam, DrawsMatchSamplerValueForValueAndStateForState) {
+  const auto defaults = defaults_template();
+  const auto overrides = compiled_overrides();
+  for (const TestTemplate* ov : {static_cast<const TestTemplate*>(nullptr),
+                                 &overrides}) {
+    SCOPED_TRACE(ov == nullptr ? "defaults only" : "with overrides");
+    const CompiledTemplate table(ov, defaults);
+    const CompiledParam& cmd = *table.find("Cmd");
+    const CompiledParam& thr = *table.find("Thr");
+    const CompiledParam& delay = *table.find("Delay");
+    const CompiledParam& size = *table.find("Size");
+    EXPECT_EQ(cmd.kind(), CompiledParam::Kind::kWeight);
+    EXPECT_EQ(delay.kind(), CompiledParam::Kind::kRange);
+    EXPECT_EQ(size.kind(), CompiledParam::Kind::kSubrange);
+
+    util::Xoshiro256 reference_rng(41);
+    util::Xoshiro256 compiled_rng(41);
+    ParameterSampler sampler(ov, defaults, reference_rng);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(sampler.draw("Cmd"), cmd.draw_value(compiled_rng));
+      ASSERT_EQ(reference_rng.state(), compiled_rng.state());
+      ASSERT_EQ(sampler.draw_int_value("Thr"), thr.draw_int(compiled_rng));
+      ASSERT_EQ(reference_rng.state(), compiled_rng.state());
+      ASSERT_EQ(sampler.draw_range("Delay"), delay.draw_range(compiled_rng));
+      ASSERT_EQ(reference_rng.state(), compiled_rng.state());
+      ASSERT_EQ(sampler.draw_range("Size"), size.draw_range(compiled_rng));
+      ASSERT_EQ(reference_rng.state(), compiled_rng.state());
+    }
+  }
+}
+
+TEST(CompiledParam, ThrowsTheSamplersValidationErrors) {
+  const auto defaults = defaults_template();
+  // Delay redeclared as a weight parameter: the override's kind wins.
+  auto overrides = parse_template(R"(
+    template o {
+      weight Delay { 1: 1 }
+      weight Cmd { read: 1 }
+      subrange Size { [1, 2]: 1 }
+    }
+  )");
+  // TestTemplate::add rejects a zero total weight, so zero the weights
+  // after validation to reach the draw-time check that both paths keep.
+  std::get<tgen::WeightParameter>(
+      const_cast<tgen::Parameter&>(*overrides.find("Cmd")))
+      .entries[0]
+      .weight = 0.0;
+  std::get<tgen::SubrangeParameter>(
+      const_cast<tgen::Parameter&>(*overrides.find("Size")))
+      .entries[0]
+      .weight = 0.0;
+
+  for (const TestTemplate* ov : {static_cast<const TestTemplate*>(nullptr),
+                                 &std::as_const(overrides)}) {
+    SCOPED_TRACE(ov == nullptr ? "defaults only" : "with overrides");
+    const CompiledTemplate table(ov, defaults);
+    const CompiledParam& cmd = *table.find("Cmd");
+    const CompiledParam& thr = *table.find("Thr");
+    const CompiledParam& delay = *table.find("Delay");
+    const CompiledParam& size = *table.find("Size");
+
+    util::Xoshiro256 reference_rng(42);
+    util::Xoshiro256 compiled_rng(42);
+    ParameterSampler sampler(ov, defaults, reference_rng);
+    const auto expect_same_error = [&](std::string_view what, auto reference,
+                                       auto compiled) {
+      const std::string expected = validation_message(reference);
+      EXPECT_NE(expected.find(what), std::string::npos) << expected;
+      EXPECT_EQ(expected, validation_message(compiled));
+      EXPECT_EQ(reference_rng.state(), compiled_rng.state());
+    };
+    expect_same_error(ov == nullptr ? "non-integer value" : "zero total weight",
+                      [&] { return sampler.draw_int_value("Cmd"); },
+                      [&] { return cmd.draw_int(compiled_rng); });
+    expect_same_error("not a range or subrange parameter",
+                      [&] { return sampler.draw_range("Thr"); },
+                      [&] { return thr.draw_range(compiled_rng); });
+    if (ov == nullptr) {
+      expect_same_error("not a weight parameter",
+                        [&] { return sampler.draw("Delay"); },
+                        [&] { return delay.draw_index(compiled_rng); });
+    } else {
+      expect_same_error("zero total weight",
+                        [&] { return sampler.draw("Cmd"); },
+                        [&] { return cmd.draw_value(compiled_rng); });
+      expect_same_error("zero total weight",
+                        [&] { return sampler.draw_range("Size"); },
+                        [&] { return size.draw_range(compiled_rng); });
+      expect_same_error("not a range or subrange parameter",
+                        [&] { return sampler.draw_range("Delay"); },
+                        [&] { return delay.draw_range(compiled_rng); });
+    }
+    // The streams stay aligned after the errors.
+    EXPECT_EQ(sampler.draw_int_value("Thr"), thr.draw_int(compiled_rng));
+    EXPECT_EQ(reference_rng.state(), compiled_rng.state());
+  }
+}
 
 // ------------------------------------------------------------ profiler --
 

@@ -224,6 +224,13 @@ struct MalformedCase {
   const char* text;
 };
 
+// Print the case by its label so the discovered test name is the same on
+// every build; gtest otherwise dumps the struct's raw bytes, pointers
+// included.
+void PrintTo(const MalformedCase& c, std::ostream* os) {
+  *os << '"' << c.label << '"';
+}
+
 class MalformedInput : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedInput, Throws) {

@@ -9,13 +9,15 @@ dashboard) actually tracks per commit:
     at 8 workers, from BM_FarmRunAllBatched — the batch-of-seeds kernel
     path, the repo's primary throughput headline;
   * the batched-vs-scalar-dispatch speedup (BM_FarmRunAllBatched over
-    BM_FarmRunAllScalar at 8 workers);
+    BM_FarmRunAllScalar at 8 workers), taken from the medians of the
+    pair's repetitions and reported with each side's coefficient of
+    variation (CV) across those repetitions;
   * the fork-based process backend's wall-clock sims/sec at 1 and 8
     workers (BM_ProcessFarmRunAll) — informational, no regression gate:
     the pipe-protocol overhead is the price of crash isolation, and its
     cost profile is workload-shaped rather than code-shaped;
-  * cpu-time sims/sec at 1 and 8 workers from the BM_FarmRun scaling
-    sweep, plus the farm's full worker-scaling curve;
+  * wall-clock sims/sec at 1 and 8 workers from the BM_FarmRun scaling
+    sweep, plus the farm's full wall-clock worker-scaling curve;
   * the --timeline sampling cost (BM_TimeSeriesSample);
   * per-benchmark medians (real time + items/sec) across every input
     file, so repeated or re-run benches aggregate instead of clobbering.
@@ -23,8 +25,9 @@ dashboard) actually tracks per commit:
 Stdlib only — CI must not need a pip install. Exits non-zero when a
 required headline benchmark is missing from the inputs, so a silently
 renamed bench fails the pipeline instead of producing a hollow summary —
-and when the batched farm path is slower than the scalar-dispatch
-baseline, so a regression that undoes the batching win fails the build.
+and when the median batched farm throughput is below the median
+scalar-dispatch baseline, so a regression that undoes the batching win
+fails the build.
 
 Usage: bench_summary.py -o BENCH_summary.json BENCH_a.json [BENCH_b.json ...]
 """
@@ -35,14 +38,14 @@ import re
 import statistics
 import sys
 
-SCHEMA = "ascdg-bench-summary-v1"
+SCHEMA = "ascdg-bench-summary-v2"
 
-# Headline benches the summary cannot do without. The batched farm pair
+# Headline benches the summary cannot do without. Every farm bench
 # carries google-benchmark's /real_time suffix (UseRealTime): wall-clock
-# sims/sec is the headline, not summed-CPU-time throughput.
+# sims/sec is the headline, not the submitting thread's CPU time.
 REQUIRED = [
-    "BM_FarmRun/1",
-    "BM_FarmRun/8",
+    "BM_FarmRun/1/real_time",
+    "BM_FarmRun/8/real_time",
     "BM_FarmRunAllBatched/1/real_time",
     "BM_FarmRunAllBatched/8/real_time",
     "BM_FarmRunAllScalar/8/real_time",
@@ -69,6 +72,14 @@ def load_entries(paths):
 def median_of(entries, key):
     values = [e[key] for e in entries if key in e]
     return statistics.median(values) if values else None
+
+
+def cv_of(entries, key):
+    """Sample stdev over mean across repetitions (None below two)."""
+    values = [e[key] for e in entries if key in e]
+    if len(values) < 2 or statistics.mean(values) == 0:
+        return None
+    return statistics.stdev(values) / statistics.mean(values)
 
 
 def main(argv):
@@ -107,7 +118,7 @@ def main(argv):
 
     farm_scaling = {}
     for name, entries in by_name.items():
-        match = re.fullmatch(r"BM_FarmRun/(\d+)", name)
+        match = re.fullmatch(r"BM_FarmRun/(\d+)/real_time", name)
         if match:
             farm_scaling[match.group(1)] = median_of(entries, "items_per_second")
 
@@ -122,6 +133,9 @@ def main(argv):
             by_name["BM_FarmRunAllScalar/%d/real_time" % workers],
             "items_per_second",
         )
+
+    def gate_entries(prefix):
+        return by_name["%s/8/real_time" % prefix]
 
     # Optional: the process backend rides along when its bench ran (it
     # is not in REQUIRED — older branches predate exec::ProcessFarm).
@@ -144,18 +158,30 @@ def main(argv):
         "batched_sims_per_sec_1_worker": batched(1),
         "batched_sims_per_sec_8_workers": batched_8w,
         # Scalar-dispatch baseline (one simulate() per instance, no
-        # shared compiled tables) and the batched-over-scalar ratio.
+        # shared compiled tables) and the batched-over-scalar ratio of
+        # the medians, which the gate below checks; the CVs say how far
+        # each side moved across its repetitions.
         "scalar_sims_per_sec_8_workers": scalar_8w,
         "batched_speedup_8_workers": batched_speedup,
+        "gate_repetitions": min(
+            len(gate_entries("BM_FarmRunAllBatched")),
+            len(gate_entries("BM_FarmRunAllScalar")),
+        ),
+        "batched_8_workers_cv": cv_of(
+            gate_entries("BM_FarmRunAllBatched"), "items_per_second"
+        ),
+        "scalar_8_workers_cv": cv_of(
+            gate_entries("BM_FarmRunAllScalar"), "items_per_second"
+        ),
         # Fork-based process backend throughput (None when the bench did
         # not run). Tracked for trend visibility only — never gated.
         "process_sims_per_sec_1_worker": process_farm(1),
         "process_sims_per_sec_8_workers": process_farm(8),
-        # Legacy cpu-time headlines from the BM_FarmRun sweep (kept for
-        # trend continuity with pre-batching summaries).
-        "sims_per_sec_1_worker": farm_scaling.get("1"),
-        "sims_per_sec_8_workers": farm_scaling.get("8"),
-        "farm_sims_per_sec_by_workers": farm_scaling,
+        # Wall-clock sims/sec of the BM_FarmRun sweep (one 256-sim job
+        # per call) at 1 and 8 workers, and its worker-scaling curve.
+        "farm_wall_sims_per_sec_1_worker": farm_scaling.get("1"),
+        "farm_wall_sims_per_sec_8_workers": farm_scaling.get("8"),
+        "farm_wall_sims_per_sec_by_workers": farm_scaling,
         "timeline_sample_ns": median_of(
             by_name["BM_TimeSeriesSample"], "real_time"
         ),
@@ -164,8 +190,9 @@ def main(argv):
 
     if batched_speedup is not None and batched_speedup < 1.0:
         print(
-            "bench_summary: batched farm path regressed below the scalar "
-            "baseline (%.0f vs %.0f sims/s at 8 workers, speedup %.2fx)"
+            "bench_summary: median batched farm throughput regressed below "
+            "the scalar baseline (%.0f vs %.0f sims/s at 8 workers, "
+            "speedup %.2fx)"
             % (batched_8w, scalar_8w, batched_speedup),
             file=sys.stderr,
         )
