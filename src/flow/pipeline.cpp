@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "obs/phase_scope.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace ascdg::flow {
@@ -19,7 +21,6 @@ std::vector<std::string> Pipeline::stage_names() const {
 }
 
 void Pipeline::execute(StageContext& ctx) {
-  using Clock = StageContext::Clock;
   for (const auto& stage : stages_) {
     const std::string name(stage->name());
     if (ctx.session != nullptr && ctx.session->stage_done(name)) {
@@ -29,17 +30,21 @@ void Pipeline::execute(StageContext& ctx) {
       continue;
     }
     if (ctx.session != nullptr) ctx.session->mark_running(name);
-    const std::size_t sims_before =
-        ctx.farm != nullptr ? ctx.farm->total_simulations() : 0;
-    const auto start = Clock::now();
+    const std::size_t sims_before = ctx.farm->total_simulations();
+    obs::Span span = obs::make_span(ctx.config->trace, name);
+    obs::PhaseScope scope(name);
+    ctx.stage_start = StageContext::Clock::now();
     stage->run(ctx);
+    scope.end();
+    const std::size_t sims = ctx.farm->total_simulations() - sims_before;
+    span.fields().add("sims", sims);
+    span.end();
     if (ctx.session != nullptr) {
       stage->save(ctx);
-      const std::size_t sims_after =
-          ctx.farm != nullptr ? ctx.farm->total_simulations() : 0;
       ctx.session->mark_done(
-          name, sims_after - sims_before,
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
+          name, sims,
+          std::chrono::duration<double, std::milli>(
+              StageContext::Clock::now() - ctx.stage_start)
               .count());
     }
   }

@@ -1,12 +1,17 @@
 // Pipeline: executes stages in order against one StageContext.
 //
+// The pipeline is the one place a stage is instrumented. Each stage it
+// runs gets one trace span and one obs::PhaseScope named after the
+// stage (so it shows up in the span profile, at /runz and in the
+// ascdg_phase_*{phase=...} gauges) and one clock, ctx.stage_start. The
+// span carries `sims`: the farm's counter delta across run().
+//
 // With a session attached, every stage boundary is a durable
 // checkpoint: the stage is marked "running" in the manifest, run, its
-// artifact written atomically, then marked "done" with the simulations
-// and wall time it cost (simulations measured as the farm's counter
-// delta, so the manifest reconciles with the paper's cost metric). A
-// stage already recorded "done" is restored from its artifact via
-// load() instead — completed stages cost zero simulations on resume.
+// artifact written atomically, then marked "done" with the same `sims`
+// and the wall time since ctx.stage_start. A stage already recorded
+// "done" is restored from its artifact via load() instead — completed
+// stages cost zero simulations on resume and emit no telemetry.
 #pragma once
 
 #include <memory>

@@ -10,10 +10,11 @@
 // coverage data, analyzes the results, and decides on the next step."
 //
 // Since the stage-pipeline refactor the runner is a thin driver: it
-// assembles a flow::Pipeline of stages, optionally attaches a durable
-// flow::Session (FlowConfig::session_dir / resume), and keeps the
-// flow-level bookkeeping the stages share (the flow span, first-hit
-// telemetry, the final trace epilogue).
+// assembles a flow::Pipeline of stages (which traces, scopes and times
+// each stage it runs), optionally attaches a durable flow::Session
+// (FlowConfig::session_dir / resume), and keeps the flow-level
+// bookkeeping around the stages (the flow span, first-hit telemetry,
+// the final trace epilogue).
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,9 @@
 // harvest), each owning three responsibilities:
 //
 //   run()  — do the work: simulate, mutate the shared StageContext, and
-//            emit the stage's spans / trace events / log lines exactly
-//            as the monolith did (telemetry parity is load-bearing:
-//            tests reconcile per-phase sims against the farm's books).
+//            emit the stage's point events (phase, flow_start, ...) and
+//            log lines. The stage's span, phase scope and clock belong
+//            to Pipeline::execute, not to run().
 //   save() — persist the stage's output as a session artifact
 //            (atomic write; only called when a session is attached).
 //   load() — reconstruct the stage's output from its artifact instead
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <chrono>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -26,8 +25,6 @@
 #include "flow/session.hpp"
 #include "flow/types.hpp"
 #include "neighbors/neighbors.hpp"
-#include "obs/phase_scope.hpp"
-#include "obs/trace.hpp"
 #include "tgen/test_template.hpp"
 
 namespace ascdg::flow {
@@ -58,16 +55,9 @@ struct StageContext {
   /// best template is instantiated from.
   std::vector<double> best_point;
 
-  // The paper's "optimization phase" covers implicit filtering AND the
-  // optional real-objective refinement, so its span / phase scope /
-  // wall clock open in OptimizeStage and close in RefineStage. On a
-  // resume that skips the optimize stage these stay empty and
-  // RefineStage opens its own scope; `opt_wall_base` then carries the
-  // already-spent wall time loaded from the optimize artifact.
-  std::optional<obs::Span> opt_span;
-  std::optional<obs::PhaseScope> opt_scope;
-  std::optional<Clock::time_point> opt_start;
-  double opt_wall_base = 0.0;
+  /// When Pipeline::execute started the running stage; stages measure
+  /// their phase wall time (and mid-stage checkpoints) from here.
+  Clock::time_point stage_start{};
 };
 
 class Stage {

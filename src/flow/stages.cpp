@@ -175,13 +175,8 @@ void CoarseSearchStage::load(StageContext& ctx) const {
 void SkeletonizeStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  obs::Span skel_span = obs::make_span(config.trace, "skeletonize");
-  obs::PhaseScope skel_phase("skeletonize");
   const cdg::Skeletonizer skeletonizer(config.skeletonizer);
   result.skeleton = skeletonizer.skeletonize(ctx.seed_template);
-  skel_phase.end();
-  skel_span.fields().add("marks", result.skeleton.mark_count());
-  skel_span.end();
   util::log_info("skeletonized '", ctx.seed_template.name(), "' -> ",
                  result.skeleton.mark_count(), " marks");
   if (config.trace != nullptr) {
@@ -208,9 +203,6 @@ void SkeletonizeStage::load(StageContext& ctx) const {
 void SampleStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  const auto sampling_start = Clock::now();
-  obs::Span sampling_span = obs::make_span(config.trace, "sampling");
-  obs::PhaseScope sampling_scope("sampling");
   cdg::RandomSampleOptions sample_options;
   sample_options.templates = config.sample_templates;
   sample_options.sims_per_template = config.sample_sims;
@@ -219,12 +211,7 @@ void SampleStage::run(StageContext& ctx) {
                                        *ctx.target, sample_options);
   result.sampling_phase = {"Sampling phase", result.sampling.simulations,
                            result.sampling.combined};
-  result.sampling_phase.wall_ms = ms_since(sampling_start);
-  sampling_scope.end();
-  sampling_span.fields()
-      .add("sims", result.sampling_phase.sims)
-      .add("best_value", result.sampling.best().target_value);
-  sampling_span.end();
+  result.sampling_phase.wall_ms = ms_since(ctx.stage_start);
   util::log_info("sampling phase: best target value ",
                  result.sampling.best().target_value, " over ",
                  result.sampling.simulations, " sims");
@@ -256,9 +243,6 @@ void SampleStage::load(StageContext& ctx) const {
 void OptimizeStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  ctx.opt_start = Clock::now();
-  ctx.opt_span.emplace(obs::make_span(config.trace, "optimization"));
-  ctx.opt_scope.emplace("optimization");
   const cdg::EvalCacheConfig cache_config{.enabled = config.eval_cache,
                                           .capacity = 1024};
   cdg::CdgObjective objective(*ctx.duv, *ctx.farm, result.skeleton,
@@ -279,7 +263,6 @@ void OptimizeStage::run(StageContext& ctx) {
     if (std::filesystem::exists(ckpt_path)) {
       prefix = read_opt_checkpoint(ckpt_path);
       if_options.resume = &prefix.ifc;
-      ctx.opt_wall_base = prefix.wall_ms;
       util::log_info("optimization: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration, " (", prefix.sims,
                      " sims already spent)");
@@ -291,7 +274,7 @@ void OptimizeStage::run(StageContext& ctx) {
       ckpt.stats = merged(prefix.stats, objective.combined());
       ckpt.cache_hits = prefix.cache_hits + objective.cache_hits();
       ckpt.cache_misses = prefix.cache_misses + objective.cache_misses();
-      ckpt.wall_ms = ctx.opt_wall_base + ms_since(*ctx.opt_start);
+      ckpt.wall_ms = prefix.wall_ms + ms_since(ctx.stage_start);
       write_opt_checkpoint(ckpt_path, ckpt);
     };
   }
@@ -302,15 +285,13 @@ void OptimizeStage::run(StageContext& ctx) {
                                prefix.sims + objective.simulations(),
                                merged(prefix.stats, objective.combined())};
   result.optimization_phase.wall_ms =
-      ctx.opt_wall_base + ms_since(*ctx.opt_start);
+      prefix.wall_ms + ms_since(ctx.stage_start);
   result.eval_cache_hits = prefix.cache_hits + objective.cache_hits();
   result.eval_cache_misses = prefix.cache_misses + objective.cache_misses();
   util::log_info("optimization: ", result.optimization.trace.size(),
                  " iterations, best value ", result.optimization.best_value,
                  " (", to_string(result.optimization.reason), ")");
   ctx.best_point = result.optimization.best_point;
-  // ctx.opt_wall_base stays at the checkpoint prefix: the refine stage
-  // re-measures from ctx.opt_start, which covers this stage's run too.
 }
 
 void OptimizeStage::save(StageContext& ctx) const {
@@ -336,7 +317,6 @@ void OptimizeStage::load(StageContext& ctx) const {
   result.eval_cache_hits = doc.at("cache_hits").as_size();
   result.eval_cache_misses = doc.at("cache_misses").as_size();
   ctx.best_point = result.optimization.best_point;
-  ctx.opt_wall_base = result.optimization_phase.wall_ms;
 }
 
 // --------------------------------------------------------- refinement --
@@ -345,16 +325,9 @@ void RefineStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
   // The paper's optimization phase covers implicit filtering and this
-  // refinement; when the optimize stage ran in this process its span /
-  // phase scope / clock are still open here. After a resume that
-  // restored the optimize stage from its artifact they are not — open
-  // fresh ones (the restored wall time rides in ctx.opt_wall_base).
-  if (!ctx.opt_start.has_value()) {
-    ctx.opt_start = Clock::now();
-    ctx.opt_span.emplace(obs::make_span(config.trace, "optimization"));
-    ctx.opt_scope.emplace("optimization");
-  }
-  const auto refine_start = *ctx.opt_start;
+  // refinement, so the phase's wall time is the optimize stage's plus
+  // this stage's own.
+  double wall_base = result.optimization_phase.wall_ms;
 
   if (config.refine_with_real_target && !ctx.target->targets().empty()) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
@@ -375,7 +348,7 @@ void RefineStage::run(StageContext& ctx) {
       result.optimization_phase.stats = prefix.stats;
       result.eval_cache_hits = prefix.cache_hits;
       result.eval_cache_misses = prefix.cache_misses;
-      ctx.opt_wall_base = prefix.wall_ms;
+      wall_base = prefix.wall_ms;
       util::log_info("refinement: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration);
     }
@@ -421,7 +394,7 @@ void RefineStage::run(StageContext& ctx) {
           ckpt.stats = merged(base_stats, refine_objective.combined());
           ckpt.cache_hits = base_hits + refine_objective.cache_hits();
           ckpt.cache_misses = base_misses + refine_objective.cache_misses();
-          ckpt.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
+          ckpt.wall_ms = wall_base + ms_since(ctx.stage_start);
           ckpt.evidence = evidence;
           write_opt_checkpoint(ckpt_path, ckpt);
         };
@@ -446,23 +419,12 @@ void RefineStage::run(StageContext& ctx) {
     }
   }
 
-  result.optimization_phase.wall_ms = ctx.opt_wall_base + ms_since(refine_start);
-  if (ctx.opt_scope.has_value()) ctx.opt_scope->end();
-  if (ctx.opt_span.has_value()) {
-    ctx.opt_span->fields()
-        .add("sims", result.optimization_phase.sims)
-        .add("iterations", result.optimization.trace.size())
-        .add("best_value", result.optimization.best_value);
-    ctx.opt_span->end();
-  }
+  result.optimization_phase.wall_ms = wall_base + ms_since(ctx.stage_start);
   trace_phase(config.trace, "optimization", result.optimization_phase,
               util::JsonObject{}
                   .add("iterations", result.optimization.trace.size())
                   .add("best_value", result.optimization.best_value)
                   .add("refined", result.refinement.has_value()));
-  ctx.opt_span.reset();
-  ctx.opt_scope.reset();
-  ctx.opt_start.reset();
 }
 
 void RefineStage::save(StageContext& ctx) const {
@@ -494,12 +456,6 @@ void RefineStage::load(StageContext& ctx) const {
   result.eval_cache_hits = doc.at("cache_hits").as_size();
   result.eval_cache_misses = doc.at("cache_misses").as_size();
   ctx.best_point = double_array_from_json(doc.at("best_point"));
-  // The optimize stage's shared-telemetry handles are only open when it
-  // ran in this process; a restored refine stage must not leave them
-  // around for the harvest stage.
-  ctx.opt_span.reset();
-  ctx.opt_scope.reset();
-  ctx.opt_start.reset();
 }
 
 // ------------------------------------------------------------ harvest --
@@ -507,9 +463,6 @@ void RefineStage::load(StageContext& ctx) const {
 void HarvestStage::run(StageContext& ctx) {
   const FlowConfig& config = *ctx.config;
   FlowResult& result = *ctx.result;
-  const auto harvest_start = Clock::now();
-  obs::Span harvest_span = obs::make_span(config.trace, "harvest");
-  obs::PhaseScope harvest_scope("harvest");
   result.best_template = result.skeleton.instantiate(
       ctx.seed_template.name() + instance_suffix_, ctx.best_point);
   result.harvest_phase.name = "Running best test";
@@ -524,10 +477,7 @@ void HarvestStage::run(StageContext& ctx) {
   } else {
     result.harvest_phase.stats = coverage::SimStats(ctx.duv->space().size());
   }
-  result.harvest_phase.wall_ms = ms_since(harvest_start);
-  harvest_scope.end();
-  harvest_span.fields().add("sims", result.harvest_phase.sims);
-  harvest_span.end();
+  result.harvest_phase.wall_ms = ms_since(ctx.stage_start);
   trace_phase(config.trace, "harvest", result.harvest_phase,
               util::JsonObject{}.add(
                   "real_value", result.harvest_phase.stats.sims() > 0

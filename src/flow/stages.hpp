@@ -1,7 +1,7 @@
-// Concrete pipeline stages. Each reproduces one section of the old
-// monolithic CdgRunner::run / run_from_template verbatim — same seed
-// mixes, same spans and trace events, same log lines — so the refactor
-// is observationally invisible to an un-sessioned run.
+// Concrete pipeline stages, one per step of the paper's flow. Each
+// keeps the old monolithic CdgRunner's seed mixes, point events and log
+// lines, so every simulation result is unchanged; spans, phase scopes
+// and stage clocks are Pipeline::execute's (see pipeline.hpp).
 //
 // Optimize and Harvest take their seed mix (and the harvest its
 // instance-name suffix) as constructor parameters because the
@@ -76,9 +76,11 @@ class OptimizeStage final : public Stage {
 };
 
 /// §IV-E refinement. Always present in the pipeline (so the session's
-/// stage list is config-independent); when refinement is disabled or
-/// evidence is missing it only closes the optimization-phase telemetry
-/// that OptimizeStage opened and emits the "optimization" phase event.
+/// stage list is config-independent). The paper's optimization phase
+/// spans both stages: this one folds its sims and wall time into
+/// FlowResult::optimization_phase and emits the "optimization" phase
+/// event — which is all it does when refinement is disabled or the
+/// real-target evidence is missing.
 class RefineStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {

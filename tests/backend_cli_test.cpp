@@ -4,7 +4,8 @@
 // template) and the same simulation count — wall-clock is the only
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
-// runtime error (exit 2) or a silent fallback.
+// runtime error (exit 2) or a silent fallback; and that any other bad
+// `run` flag is a usage error before the first simulation.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -144,6 +145,39 @@ TEST_F(BackendCli, ProcessBackendWorksOnAuxiliaryCommands) {
                                       " before io_unit --sims 50");
   EXPECT_EQ(reference.exit_code, 0) << reference.output;
   EXPECT_EQ(result.output, reference.output);
+}
+
+// Flag errors on `run` surface before the first simulation, not after
+// the whole flow has run (and written its outputs).
+TEST_F(BackendCli, UnknownRunFlagFailsBeforeAnySimulation) {
+  const CliResult result = run_cli(flow_command(dir_, "thread") +
+                                   " --bogus-flag");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("unrecognized argument(s): --bogus-flag"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("total simulations:"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(fs::exists(dir_ / "phases.csv"));
+}
+
+// A value flag never takes the next flag as its value: `--trace --csv
+// out.csv` is a bare --trace (a usage error without --session), not a
+// trace file named "--csv".
+TEST_F(BackendCli, TraceNeverTakesTheNextFlagAsItsFile) {
+  const CliResult result = run_cli(
+      "cd " + dir_.string() + " && " + ASCDG_CLI_PATH +
+      " run io_unit --family crc --before-sims 50 --samples 10"
+      " --sample-sims 20 --iterations 2 --point-sims 20 --harvest 500"
+      " --trace --csv out.csv");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("bare --trace needs --session"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("total simulations:"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(fs::exists(dir_ / "--csv"));
+  EXPECT_FALSE(fs::exists(dir_ / "out.csv"));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // failure handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -659,6 +660,7 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
   std::string line;
   std::size_t phase_lines = 0;
   std::size_t span_lines = 0;
+  std::vector<std::string> span_names;
   std::size_t eval_batch_spans = 0;
   std::size_t opt_iter_lines = 0;
   std::size_t first_hit_lines = 0;
@@ -680,6 +682,9 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
         ++eval_batch_spans;
       } else {
         ++span_lines;
+        const std::string key = "\"span\":\"";
+        const auto start = line.find(key) + key.size();
+        span_names.push_back(line.substr(start, line.find('"', start) - start));
       }
     }
     if (line.find("\"event\":\"opt_iter\"") != std::string::npos) {
@@ -697,8 +702,13 @@ TEST(Runner, TraceJsonlPhaseSimsSumToFarmTotal) {
   }
   EXPECT_EQ(phase_lines, 3u);
   EXPECT_EQ(flow_end_lines, 1u);
-  // flow + skeletonize + sampling + optimization + harvest.
-  EXPECT_EQ(span_lines, 5u);
+  // The flow span plus one span per executed pipeline stage.
+  EXPECT_EQ(span_lines, 6u);
+  std::sort(span_names.begin(), span_names.end());
+  EXPECT_EQ(span_names,
+            (std::vector<std::string>{"flow", "harvest", "optimization",
+                                      "refinement", "sampling",
+                                      "skeletonize"}));
   // One eval_batch span per optimizer dispatch: the initial center,
   // then one whole-stencil batch per iteration.
   EXPECT_EQ(eval_batch_spans, 1u + result.optimization.trace.size());

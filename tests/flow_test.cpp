@@ -2,12 +2,15 @@
 // round-trips, manifest lifecycle and rejection paths, config
 // fingerprinting, resume-without-resimulation for single runs and
 // campaigns, bit-identical optimizer restart from a serialized
-// checkpoint, and the run / run_from_template shared-tail regression.
+// checkpoint, the run / run_from_template shared-tail regression, and
+// the per-stage trace spans agreeing with the stage ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "flow/session.hpp"
 #include "flow/types.hpp"
 #include "neighbors/neighbors.hpp"
+#include "obs/trace.hpp"
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
 #include "util/error.hpp"
@@ -526,6 +530,67 @@ TEST(SessionedRun, RunMatchesRunFromTemplateOnSameSeed) {
             via_run.optimization.best_point);
   EXPECT_EQ(via_template.harvest_phase.stats, via_run.harvest_phase.stats);
   EXPECT_EQ(via_template.flow_sims(), via_run.flow_sims());
+}
+
+// The pipeline instruments every stage it runs: one span per manifest
+// stage, coarse included, whose sims equal the stage ledger's row, and
+// the refinement optimizer's eval_batch spans nest under `refinement`.
+TEST(SessionedRun, TraceHasOneSpanPerStageMatchingTheLedger) {
+  const duv::IoUnit io;
+  const auto suite = io.suite();
+  exec::ThreadFarm farm(2);
+  coverage::CoverageRepository repo(io.space().size());
+  for (std::size_t j = 0; j < suite.size(); ++j) {
+    repo.record(suite[j].name(), farm.run(io, suite[j], 150, 500 + j));
+  }
+  const auto target = neighbors::family_target(io.space(), "crc", repo.total());
+
+  std::ostringstream trace;
+  obs::Tracer sink(trace);
+  FlowConfig config = small_config();
+  config.session_dir = scratch_dir("traced_ledger").string();
+  config.refine_with_real_target = true;
+  config.refine_threshold = 0.0;  // any evidence switches objectives
+  config.refine_max_iterations = 2;
+  config.trace = &sink;
+  CdgRunner runner(io, farm, config);
+  const auto result = runner.run(target, repo, suite);
+  ASSERT_TRUE(result.refinement.has_value());
+
+  std::map<std::uint64_t, std::string> span_names;  // span_id -> name
+  std::map<std::string, std::vector<std::size_t>> stage_span_sims;
+  std::vector<std::uint64_t> eval_batch_parents;
+  std::istringstream lines(trace.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const util::JsonValue doc = util::json_parse(line);
+    if (doc.at("event").as_string() != "span") continue;
+    const std::string name = doc.at("span").as_string();
+    span_names[doc.at("span_id").as_uint64()] = name;
+    if (name == "eval_batch") {
+      eval_batch_parents.push_back(doc.at("parent_id").as_uint64());
+    } else if (name != "flow") {
+      stage_span_sims[name].push_back(doc.at("sims").as_size());
+    }
+  }
+
+  ASSERT_TRUE(runner.session_summary().has_value());
+  const auto& stages = runner.session_summary()->stages;
+  ASSERT_EQ(stages.size(), 6u);
+  ASSERT_EQ(stage_span_sims.size(), stages.size());
+  for (const auto& stage : stages) {
+    const auto& sims = stage_span_sims[stage.name];
+    ASSERT_EQ(sims.size(), 1u) << stage.name;
+    EXPECT_EQ(sims.front(), stage.sims) << stage.name;
+  }
+
+  std::size_t under_refinement = 0;
+  for (const auto parent : eval_batch_parents) {
+    const std::string& name = span_names[parent];
+    EXPECT_TRUE(name == "optimization" || name == "refinement") << name;
+    if (name == "refinement") ++under_refinement;
+  }
+  EXPECT_EQ(under_refinement, 1u + result.refinement->trace.size());
 }
 
 // ------------------------------------------------------------ campaign --

@@ -95,7 +95,7 @@ commands:
                        iteration into a durable session directory)
       [--resume] (restart from DIR's last checkpoint after a crash)
       [--save-before FILE.csv] [--before-csv FILE.csv]
-      [--trace[ FILE.jsonl]] (bare --trace with --session writes
+      [--trace[ FILE.jsonl]] (bare --trace needs --session and writes
                               DIR/trace.jsonl for `ascdg inspect`)
       [--metrics FILE.json]
       [--serve[=PORT]] (live HTTP introspection on 127.0.0.1; bare
@@ -122,10 +122,6 @@ commands:
                                      or one JSON object with --json)
 )";
   return 1;
-}
-
-std::unique_ptr<duv::Duv> make_unit(const std::string& name) {
-  return duv::make_unit(name);
 }
 
 /// Tiny argv cursor: flag/value extraction with error reporting.
@@ -157,7 +153,8 @@ class Args {
     return false;
   }
 
-  /// Accepts both "--name VALUE" and "--name=VALUE".
+  /// Accepts both "--name VALUE" and "--name=VALUE". A following
+  /// "--" token is never taken as VALUE: it is the next flag.
   std::optional<std::string> value(const char* name) {
     const std::string joined = std::string(name) + "=";
     for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -166,7 +163,8 @@ class Args {
         args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i));
         return out;
       }
-      if (i + 1 < args_.size() && args_[i] == name) {
+      if (i + 1 < args_.size() && args_[i] == name &&
+          !args_[i + 1].starts_with("--")) {
         std::string out = args_[i + 1];
         args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
                     args_.begin() + static_cast<std::ptrdiff_t>(i) + 2);
@@ -198,12 +196,36 @@ class Args {
     return static_cast<std::size_t>(*parsed);
   }
 
-  /// Remaining unconsumed arguments (should be empty at the end).
-  [[nodiscard]] const std::vector<std::string>& rest() const { return args_; }
+  /// Fails the command on any argument no flag consumed: a typo like
+  /// --wachdog=30 that silently no-ops is worse than an error. Returns
+  /// true (after printing the diagnostic) when something was left.
+  bool reject_unrecognized() const {
+    if (args_.empty()) return false;
+    std::cerr << "error: unrecognized argument(s):";
+    for (const auto& arg : args_) std::cerr << ' ' << arg;
+    std::cerr << "\nrun `ascdg` without arguments for usage\n";
+    return true;
+  }
 
  private:
   std::vector<std::string> args_;
 };
+
+/// Consumes the positional unit name (`fallback` when absent, if one is
+/// given) and builds the unit. A missing name prints usage, an unknown
+/// one an error; either way nullptr comes back and callers `return 1`.
+std::unique_ptr<duv::Duv> unit_from_args(Args& args,
+                                         const char* fallback = nullptr) {
+  const auto name = args.positional();
+  if (!name.has_value() && fallback == nullptr) {
+    usage();
+    return nullptr;
+  }
+  const std::string unit_name = name.value_or(fallback);
+  auto unit = duv::make_unit(unit_name);
+  if (unit == nullptr) std::cerr << "unknown unit '" << unit_name << "'\n";
+  return unit;
+}
 
 /// Consumes --backend[=SPEC] and builds the execution backend (thread
 /// farm by default). A spec that does not parse is a usage error: the
@@ -254,13 +276,8 @@ int cmd_units() {
 }
 
 int cmd_events(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const auto prefix = args.positional().value_or("");
   const auto& space = unit->space();
   std::size_t shown = 0;
@@ -279,13 +296,8 @@ int cmd_events(Args& args) {
 }
 
 int cmd_suite(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const auto suite = unit->suite();
   if (const auto out = args.value("--out"); out.has_value()) {
     tgen::save_templates(*out, suite);
@@ -319,13 +331,8 @@ int cmd_skeletonize(Args& args) {
 }
 
 int cmd_before(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 2000);
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
@@ -369,13 +376,8 @@ int cmd_before(Args& args) {
 }
 
 int cmd_policy(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 2000);
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
@@ -389,13 +391,8 @@ int cmd_policy(Args& args) {
 }
 
 int cmd_profile(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 500);
   stimgen::ScopedDrawProfiler profiler;
   for (std::size_t i = 0; i < sims; ++i) {
@@ -416,13 +413,8 @@ int cmd_profile(Args& args) {
 }
 
 int cmd_holes(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const auto family = args.value("--family");
   if (!family.has_value()) {
     std::cerr << "holes: --family is required\n";
@@ -449,30 +441,21 @@ int cmd_holes(Args& args) {
   return 0;
 }
 
-int cmd_run(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
-  const auto family = args.value("--family");
-  if (!family.has_value()) {
-    std::cerr << "run: --family is required\n";
-    return 1;
-  }
-  if (unit->space().family_events(*family).empty()) {
-    std::cerr << "unknown family '" << *family << "'; families:";
-    for (const auto& name : unit->space().family_names()) {
-      std::cerr << ' ' << name;
-    }
-    std::cerr << '\n';
-    return 1;
-  }
+/// False (after listing the unit's families) when `family` names none.
+bool known_family(const duv::Duv& unit, const std::string& family) {
+  if (!unit.space().family_events(family).empty()) return true;
+  std::cerr << "unknown family '" << family << "'; families:";
+  for (const auto& name : unit.space().family_names()) std::cerr << ' ' << name;
+  std::cerr << '\n';
+  return false;
+}
 
+/// Consumes the flags `run` and `campaign` share: the flow budget, the
+/// session, and --timeline[=MS]. `before_sims` receives the suite budget
+/// of the before-CDG regression.
+flow::FlowConfig flow_config_from_args(Args& args, std::size_t& before_sims) {
   flow::FlowConfig config;
-  const std::size_t before_sims = args.size_value("--before-sims", 5000);
+  before_sims = args.size_value("--before-sims", 5000);
   config.sample_templates = args.size_value("--samples", 200);
   config.sample_sims = args.size_value("--sample-sims", 100);
   config.opt_max_iterations = args.size_value("--iterations", 25);
@@ -481,21 +464,35 @@ int cmd_run(Args& args) {
   config.harvest_sims = args.size_value("--harvest", 10000);
   config.seed = args.size_value("--seed", 2021);
   config.eval_cache = args.onoff_value("--eval-cache", true);
-  config.refine_with_real_target = args.flag("--refine");
   if (const auto session = args.value("--session"); session.has_value()) {
     config.session_dir = *session;
   }
   config.resume = args.flag("--resume");
+  // Bare --timeline samples once a second; --timeline=MS tunes it.
+  if (args.flag("--timeline")) {
+    config.timeline_interval_ms = 1000;
+  } else {
+    config.timeline_interval_ms = args.size_value("--timeline", 0);
+  }
+  return config;
+}
 
-  // The backend forks its worker processes (when --backend=process)
-  // right here — before the trace/watchdog/timeline/HTTP helper
-  // threads below exist, because fork + threads do not mix
-  // (docs/backends.md).
-  const auto farm = backend_from_args(args, &config.backend);
-  if (farm == nullptr) return 1;
+int cmd_run(Args& args) {
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
+  const auto family = args.value("--family");
+  if (!family.has_value()) {
+    std::cerr << "run: --family is required\n";
+    return 1;
+  }
+  if (!known_family(*unit, *family)) return 1;
+
+  std::size_t before_sims = 0;
+  flow::FlowConfig config = flow_config_from_args(args, before_sims);
+  config.refine_with_real_target = args.flag("--refine");
 
   // Live introspection. Bare `--serve` (consumed first so value() below
-  // cannot eat the next flag as a port) means "ephemeral port"; the
+  // cannot read a stray token as a port) means "ephemeral port"; the
   // spelled form must be `--serve=PORT`.
   if (args.flag("--serve")) {
     config.serve_port = 0;
@@ -508,12 +505,35 @@ int cmd_run(Args& args) {
   }
   config.watchdog_stall_secs = args.size_value("--watchdog", 0);
   config.flight_recorder_records = args.size_value("--flight-recorder", 0);
-  // Bare --timeline samples once a second; --timeline=MS tunes it.
-  if (args.flag("--timeline")) {
-    config.timeline_interval_ms = 1000;
-  } else {
-    config.timeline_interval_ms = args.size_value("--timeline", 0);
+  std::string trace_path;
+  if (const auto path = args.value("--trace"); path.has_value()) {
+    trace_path = *path;
+  } else if (args.flag("--trace")) {
+    // Bare --trace (no FILE) drops the sink into the session directory,
+    // where `ascdg inspect` picks it up.
+    if (config.session_dir.empty()) {
+      std::cerr << "run: bare --trace needs --session (or --trace FILE)\n";
+      return 1;
+    }
+    trace_path = (std::filesystem::path(config.session_dir) /
+                  std::filesystem::path(flow::kTraceFile))
+                     .string();
   }
+  const auto metrics_path = args.value("--metrics");
+  const auto before_csv = args.value("--before-csv");
+  const auto save_before = args.value("--save-before");
+  const auto save_best = args.value("--save-best");
+  const auto csv_path = args.value("--csv");
+  const auto report_path = args.value("--report");
+
+  // The backend forks its worker processes (when --backend=process)
+  // right here — before the trace/watchdog/timeline/HTTP helper
+  // threads below exist, because fork + threads do not mix
+  // (docs/backends.md).
+  const auto farm = backend_from_args(args, &config.backend);
+  if (farm == nullptr) return 1;
+  // Every flag is consumed: a stray one fails before any simulation.
+  if (args.reject_unrecognized()) return 1;
 
   // The telemetry sinks below (--trace, --timeline) may live inside the
   // session directory, which Session::create would otherwise only make
@@ -526,21 +546,10 @@ int cmd_run(Args& args) {
   // runs in reverse order).
   std::unique_ptr<obs::FlightRecorder> recorder;
   std::unique_ptr<obs::Tracer> trace;
-  std::string trace_path;
-  if (const auto path = args.value("--trace"); path.has_value()) {
-    trace_path = *path;
-  } else if (args.flag("--trace") && !config.session_dir.empty()) {
-    // Bare --trace (no FILE) drops the sink into the session directory,
-    // where `ascdg inspect` picks it up.
-    trace_path = (std::filesystem::path(config.session_dir) /
-                  std::filesystem::path(flow::kTraceFile))
-                     .string();
-  }
   if (!trace_path.empty()) {
     trace = std::make_unique<obs::Tracer>(trace_path);
     config.trace = trace.get();
   }
-  const auto metrics_path = args.value("--metrics");
 
   // The recorder mirrors the trace stream, so it needs a Tracer even
   // when no --trace file was asked for (a sink-less one records only
@@ -600,16 +609,16 @@ int cmd_run(Args& args) {
   }
 
   coverage::CoverageRepository repo(unit->space().size());
-  if (const auto csv = args.value("--before-csv"); csv.has_value()) {
-    repo = coverage::load_repository(*csv, unit->space());
-    std::cerr << "loaded before-CDG coverage from " << *csv << " ("
+  if (before_csv.has_value()) {
+    repo = coverage::load_repository(*before_csv, unit->space());
+    std::cerr << "loaded before-CDG coverage from " << *before_csv << " ("
               << util::format_count(repo.total_sims()) << " sims)\n";
   } else {
     repo = simulate_suite(*unit, *farm, before_sims);
   }
-  if (const auto csv = args.value("--save-before"); csv.has_value()) {
-    coverage::save_repository(*csv, unit->space(), repo);
-    std::cerr << "wrote before-CDG coverage to " << *csv << '\n';
+  if (save_before.has_value()) {
+    coverage::save_repository(*save_before, unit->space(), repo);
+    std::cerr << "wrote before-CDG coverage to " << *save_before << '\n';
   }
   const auto target =
       neighbors::family_target(unit->space(), *family, repo.total());
@@ -647,22 +656,22 @@ int cmd_run(Args& args) {
     std::cout << '\n';
   }
 
-  if (const auto out = args.value("--save-best"); out.has_value()) {
-    tgen::save_template(*out, result.best_template);
-    std::cerr << "wrote best template to " << *out << '\n';
+  if (save_best.has_value()) {
+    tgen::save_template(*save_best, result.best_template);
+    std::cerr << "wrote best template to " << *save_best << '\n';
   }
-  if (const auto csv = args.value("--csv"); csv.has_value()) {
-    std::ofstream out(*csv);
+  if (csv_path.has_value()) {
+    std::ofstream out(*csv_path);
     report::phase_table(unit->space(), events, result).render_csv(out);
-    std::cerr << "wrote " << *csv << '\n';
+    std::cerr << "wrote " << *csv_path << '\n';
   }
-  if (const auto md = args.value("--report"); md.has_value()) {
+  if (report_path.has_value()) {
     const auto farm_stats = farm->telemetry();
     const auto& session = runner.session_summary();
-    report::write_flow_markdown(*md, unit->space(), events, result,
+    report::write_flow_markdown(*report_path, unit->space(), events, result,
                                 &farm_stats,
                                 session.has_value() ? &*session : nullptr);
-    std::cerr << "wrote " << *md << '\n';
+    std::cerr << "wrote " << *report_path << '\n';
   }
   if (metrics_path.has_value()) {
     report::write_metrics_json(*metrics_path, unit->space(), result,
@@ -686,42 +695,34 @@ int cmd_run(Args& args) {
 }
 
 int cmd_campaign(Args& args) {
-  const auto unit_name = args.positional();
-  if (!unit_name.has_value()) return usage();
-  const auto unit = make_unit(*unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << *unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   const auto families_arg = args.value("--families");
   if (!families_arg.has_value()) {
     std::cerr << "campaign: --families F1,F2,... is required\n";
     return 1;
   }
-
-  flow::FlowConfig config;
-  const std::size_t before_sims = args.size_value("--before-sims", 5000);
-  config.sample_templates = args.size_value("--samples", 200);
-  config.sample_sims = args.size_value("--sample-sims", 100);
-  config.opt_max_iterations = args.size_value("--iterations", 25);
-  config.opt_directions = args.size_value("--directions", 19);
-  config.opt_sims_per_point = args.size_value("--point-sims", 200);
-  config.harvest_sims = args.size_value("--harvest", 10000);
-  config.seed = args.size_value("--seed", 2021);
-  config.eval_cache = args.onoff_value("--eval-cache", true);
-  if (const auto session = args.value("--session"); session.has_value()) {
-    config.session_dir = *session;
+  std::vector<std::string> family_names;
+  for (const auto family : util::split(*families_arg, ',')) {
+    if (family.empty()) continue;
+    family_names.emplace_back(family);
+    if (!known_family(*unit, family_names.back())) return 1;
   }
-  config.resume = args.flag("--resume");
+  if (family_names.empty()) {
+    std::cerr << "campaign: --families lists no usable family\n";
+    return 1;
+  }
+
+  std::size_t before_sims = 0;
+  flow::FlowConfig config = flow_config_from_args(args, before_sims);
+  const auto seed_template_name = args.value("--seed-template");
+  const auto save_best = args.value("--save-best");
   // Construct the backend before the timeline sampler thread below:
   // the process backend forks, and fork + threads do not mix.
   const auto farm = backend_from_args(args, &config.backend);
   if (farm == nullptr) return 1;
-  if (args.flag("--timeline")) {
-    config.timeline_interval_ms = 1000;
-  } else {
-    config.timeline_interval_ms = args.size_value("--timeline", 0);
-  }
+  // Every flag is consumed: a stray one fails before any simulation.
+  if (args.reject_unrecognized()) return 1;
   // The campaign timeline lives at the campaign root, spanning every
   // per-target sub-session; without a session directory there is no
   // durable home (or live server) for it, so it stays off.
@@ -740,31 +741,17 @@ int cmd_campaign(Args& args) {
   const auto repo = simulate_suite(*unit, *farm, before_sims);
 
   std::vector<neighbors::ApproximatedTarget> targets;
-  std::vector<std::string> family_names;
-  for (const auto family : util::split(*families_arg, ',')) {
-    if (family.empty()) continue;
-    const std::string name(family);
-    if (unit->space().family_events(name).empty()) {
-      std::cerr << "unknown family '" << name << "'; families:";
-      for (const auto& f : unit->space().family_names()) std::cerr << ' ' << f;
-      std::cerr << '\n';
-      return 1;
-    }
-    family_names.push_back(name);
+  for (const auto& name : family_names) {
     targets.push_back(
         neighbors::family_target(unit->space(), name, repo.total()));
-  }
-  if (targets.empty()) {
-    std::cerr << "campaign: --families lists no usable family\n";
-    return 1;
   }
 
   // Seed template: explicit --seed-template NAME, or the coarse
   // search's top pick for the first family.
   const auto suite = unit->suite();
   std::string wanted;
-  if (const auto name = args.value("--seed-template"); name.has_value()) {
-    wanted = *name;
+  if (seed_template_name.has_value()) {
+    wanted = *seed_template_name;
   } else {
     wanted = flow::coarse_search(targets.front(), repo, 1).front().name;
   }
@@ -814,13 +801,13 @@ int cmd_campaign(Args& args) {
               << result.sessions.size() << " sub-sessions)\n";
   }
 
-  if (const auto out = args.value("--save-best"); out.has_value()) {
+  if (save_best.has_value()) {
     std::vector<tgen::TestTemplate> bests;
     bests.reserve(result.per_target.size());
     for (const auto& fr : result.per_target) bests.push_back(fr.best_template);
-    tgen::save_templates(*out, bests);
-    std::cerr << "wrote " << bests.size() << " best templates to " << *out
-              << '\n';
+    tgen::save_templates(*save_best, bests);
+    std::cerr << "wrote " << bests.size() << " best templates to "
+              << *save_best << '\n';
   }
   if (timeline != nullptr) {
     timeline->stop();
@@ -1252,12 +1239,8 @@ int cmd_inspect(Args& args) {
 }
 
 int cmd_metrics_dump(Args& args) {
-  const auto unit_name = args.positional().value_or("io_unit");
-  const auto unit = make_unit(unit_name);
-  if (unit == nullptr) {
-    std::cerr << "unknown unit '" << unit_name << "'\n";
-    return 1;
-  }
+  const auto unit = unit_from_args(args, "io_unit");
+  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 200);
   const bool as_json = args.flag("--json");
 
@@ -1277,7 +1260,7 @@ int cmd_metrics_dump(Args& args) {
   }
   std::cerr << snapshot.samples.size() << " metric series after "
             << util::format_count(farm->total_simulations())
-            << " simulations on " << unit_name << '\n';
+            << " simulations on " << unit->name() << '\n';
   return 0;
 }
 
@@ -1320,14 +1303,8 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    if (rc == 0 && !args.rest().empty()) {
-      // Unknown flags fail the command: a typo like --wachdog=30 that
-      // silently no-ops is worse than an error.
-      std::cerr << "error: unrecognized argument(s):";
-      for (const auto& arg : args.rest()) std::cerr << ' ' << arg;
-      std::cerr << "\nrun `ascdg` without arguments for usage\n";
-      return 1;
-    }
+    // `run` and `campaign` check before simulating; the rest check here.
+    if (rc == 0 && args.reject_unrecognized()) return 1;
     return rc;
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';
