@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "batch/sim_farm.hpp"
@@ -440,76 +441,92 @@ void BM_FarmRunAllServeOn(benchmark::State& state) {
 }
 BENCHMARK(BM_FarmRunAllServeOn)->Arg(2)->Arg(8)->UseRealTime();
 
-// One durable optimizer-iteration checkpoint: serialize a realistically
-// sized IfCheckpoint (20-dim template space, 10 completed iterations)
-// and write it atomically (temp + rename) into a session directory.
-// This is the only extra cost a sessioned run pays per optimizer
-// iteration, so it must stay negligible next to the iteration's
-// simulation budget (thousands of sims).
-void BM_SessionCheckpoint(benchmark::State& state) {
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
+/// One realistically sized optimizer-iteration record: a `dim`-dim
+/// template space, the state after iteration 10 with that iteration's
+/// trace entry, and the stage's merged stats over a 30-event space —
+/// the shape of one line of `optimization.ckpt.jsonl`.
+std::string iteration_record(std::size_t dim) {
   opt::IfCheckpoint ckpt;
-  ckpt.next_iteration = 10;
+  ckpt.next_iteration = 11;
   ckpt.center.assign(dim, 0.333333333333);
   ckpt.center_value = 0.125;
   ckpt.step = 0.05;
-  ckpt.evaluations = 10 * (dim + 1);
+  ckpt.evaluations = 11 * (dim + 1);
   ckpt.best_point.assign(dim, 0.666666666666);
   ckpt.best_value = 0.25;
   ckpt.rng_state = {0xDEADBEEFCAFEBABEULL, 0x123456789ABCDEF0ULL, 42ULL, 7ULL};
   ckpt.eval_seed_counter = 1234;
-  for (std::size_t i = 0; i < 10; ++i) {
-    opt::IterationRecord record;
-    record.iteration = i;
-    record.center_value = 0.01 * static_cast<double>(i);
-    record.evaluations = (i + 1) * (dim + 1);
-    ckpt.trace.push_back(record);
-  }
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ascdg_bench_session";
-  const std::filesystem::path file = dir / "optimization.ckpt.json";
-  for (auto _ : state) {
-    flow::atomic_write_file(file, flow::to_json(ckpt));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  std::filesystem::remove_all(dir);
+  opt::IterationRecord record;
+  record.iteration = 10;
+  record.center_value = 0.1;
+  record.evaluations = ckpt.evaluations;
+  ckpt.trace.push_back(record);
+  std::vector<std::size_t> hits(30);
+  for (std::size_t e = 0; e < hits.size(); ++e) hits[e] = 1000 + 37 * e;
+  return util::JsonObject{}
+      .add_raw("if", flow::to_json(ckpt))
+      .add("sims", std::size_t{4400})
+      .add_raw("stats", flow::to_json(coverage::SimStats::from_counts(
+                            4400, std::move(hits))))
+      .add("wall_ms", 89.959731)
+      .str();
 }
-BENCHMARK(BM_SessionCheckpoint)->Arg(20)->Arg(100);
 
-// Same checkpoint write with fsync elided: the gap to
-// BM_SessionCheckpoint is the price of the durability guarantee, and
-// this variant is what a profile of "atomic write minus the disk" looks
-// like. Both must stay cheap relative to an optimizer iteration.
-void BM_SessionCheckpointNoFsync(benchmark::State& state) {
-  const std::size_t dim = static_cast<std::size_t>(state.range(0));
-  opt::IfCheckpoint ckpt;
-  ckpt.next_iteration = 10;
-  ckpt.center.assign(dim, 0.333333333333);
-  ckpt.center_value = 0.125;
-  ckpt.step = 0.05;
-  ckpt.evaluations = 10 * (dim + 1);
-  ckpt.best_point.assign(dim, 0.666666666666);
-  ckpt.best_value = 0.25;
-  ckpt.rng_state = {0xDEADBEEFCAFEBABEULL, 0x123456789ABCDEF0ULL, 42ULL, 7ULL};
-  ckpt.eval_seed_counter = 1234;
-  for (std::size_t i = 0; i < 10; ++i) {
-    opt::IterationRecord record;
-    record.iteration = i;
-    record.center_value = 0.01 * static_cast<double>(i);
-    record.evaluations = (i + 1) * (dim + 1);
-    ckpt.trace.push_back(record);
-  }
+/// Times `append` of one iteration record to a fresh log in the temp
+/// directory. The log restarts, untimed, every 4096 appends so a long
+/// run stays small on disk.
+template <typename Append>
+void time_log_appends(benchmark::State& state, const char* dir_name,
+                      util::Durability durability, Append append) {
+  const std::string record =
+      iteration_record(static_cast<std::size_t>(state.range(0)));
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ascdg_bench_session_nofsync";
-  const std::filesystem::path file = dir / "optimization.ckpt.json";
-  const std::string json = flow::to_json(ckpt);
+      std::filesystem::temp_directory_path() / dir_name;
+  const std::filesystem::path file = dir / "optimization.ckpt.jsonl";
+  std::filesystem::remove_all(dir);
+  std::optional<util::AppendLog> log;
+  log.emplace(file, durability);
+  std::size_t appended = 0;
   for (auto _ : state) {
-    util::atomic_write_file(file, json, util::Durability::kNoFsync);
+    if (++appended % 4096 == 0) {
+      state.PauseTiming();
+      log.reset();
+      std::filesystem::remove(file);
+      log.emplace(file, durability);
+      state.ResumeTiming();
+    }
+    append(*log, record);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * static_cast<std::int64_t>(record.size() + 1)));
+  log.reset();
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_SessionCheckpointNoFsync)->Arg(20)->Arg(100);
+
+// One durable optimizer-iteration checkpoint: append one iteration
+// record (20- or 100-dim template space) to the stage's iteration log —
+// one write and one fdatasync, through the flow layer's crash-hook
+// wrapper. This is the only extra cost a sessioned run pays per
+// optimizer iteration, and it no longer grows with the iteration number.
+void BM_SessionCheckpoint(benchmark::State& state) {
+  time_log_appends(state, "ascdg_bench_session", util::Durability::kFull,
+                   [](util::AppendLog& log, const std::string& record) {
+                     flow::append_record(log, record);
+                   });
+}
+BENCHMARK(BM_SessionCheckpoint)->Arg(20)->Arg(100)->UseRealTime();
+
+// The same append with fdatasync elided: the gap to
+// BM_SessionCheckpoint is the price of the durability guarantee.
+void BM_SessionCheckpointNoFsync(benchmark::State& state) {
+  time_log_appends(state, "ascdg_bench_session_nofsync",
+                   util::Durability::kNoFsync,
+                   [](util::AppendLog& log, const std::string& record) {
+                     log.append(record);
+                   });
+}
+BENCHMARK(BM_SessionCheckpointNoFsync)->Arg(20)->Arg(100)->UseRealTime();
 
 // The disarmed fast path of a failure point: one relaxed atomic load.
 // Injection sites sit on every write/fsync/rename and inside the HTTP

@@ -50,9 +50,11 @@ struct SimFarm::RunContext {
   const duv::Duv* duv = nullptr;
   std::span<const Job> jobs;
   std::size_t job_n = 0;
-  /// Per-job compiled distribution tables, built once before any chunk
-  /// is enqueued (nullptr for units that do not override Duv::compile —
-  /// their simulate_batch falls back to the scalar loop).
+  /// Per-job compiled distribution tables, slot j built just before job
+  /// j's chunks are enqueued (nullptr for units that do not override
+  /// Duv::compile — their simulate_batch falls back to the scalar loop).
+  /// A worker reads only the slots of chunks it was handed, so filling
+  /// slot j+1 never races with it.
   std::vector<std::unique_ptr<duv::Duv::Compiled>> compiled;
   /// (worker, job)-sliced partials, worker-major [w * job_n + j]; the
   /// simulation loop is lock-free, the caller merges once at join time.
@@ -327,38 +329,38 @@ std::vector<coverage::SimStats> SimFarm::run_all(const duv::Duv& duv,
   ctx.duv = &duv;
   ctx.jobs = jobs;
   ctx.job_n = job_n;
-  // Compile every job's template once, before anything is enqueued: all
-  // chunks of a job share the read-only tables instead of re-resolving
-  // (overrides, defaults) per simulation. A compile failure propagates
-  // here with no chunks outstanding.
-  ctx.compiled.reserve(job_n);
-  for (const Job& job : jobs) ctx.compiled.push_back(duv.compile(*job.tmpl));
+  ctx.compiled.resize(job_n);
   ctx.partial.assign(worker_n_ * job_n, coverage::SimStats(event_count));
   ctx.remaining.store(chunk_count, std::memory_order_relaxed);
 
+  // Compile job j, then queue its chunks, before compiling job j+1: the
+  // workers start on the first job while the caller still compiles the
+  // rest. All chunks of a job share its read-only tables instead of
+  // re-resolving (overrides, defaults) per simulation.
   std::size_t enqueued = 0;
   std::exception_ptr submit_error;
-  for (std::size_t j = 0; j < job_n && submit_error == nullptr; ++j) {
-    for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
-      const std::size_t end = std::min(begin + kChunk, jobs[j].count);
-      try {
-        enqueue(ChunkRef{&ctx, j, begin, end});
+  for (std::size_t j = 0; j < job_n; ++j) {
+    try {
+      ctx.compiled[j] = duv.compile(*jobs[j].tmpl);
+      for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
+        enqueue(ChunkRef{&ctx, j, begin, std::min(begin + kChunk,
+                                                  jobs[j].count)});
         ++enqueued;
-      } catch (...) {
-        // enqueue refused (farm stopping): the missing chunks will never
-        // run, so retire them here, then wait out the ones already
-        // queued. If that retires the whole run (nothing was enqueued,
-        // or every queued chunk already finished), publish all_done
-        // ourselves — no worker is left to do it.
-        submit_error = std::current_exception();
-        const std::size_t missing = chunk_count - enqueued;
-        if (ctx.remaining.fetch_sub(missing, std::memory_order_acq_rel) ==
-            missing) {
-          const std::scoped_lock lock(ctx.mutex);
-          ctx.all_done = true;
-        }
-        break;
       }
+    } catch (...) {
+      // A compile threw or enqueue refused (farm stopping): the missing
+      // chunks will never run, so retire them here, then wait out the
+      // ones already queued. If that retires the whole run (nothing was
+      // enqueued, or every queued chunk already finished), publish
+      // all_done ourselves — no worker is left to do it.
+      submit_error = std::current_exception();
+      const std::size_t missing = chunk_count - enqueued;
+      if (ctx.remaining.fetch_sub(missing, std::memory_order_acq_rel) ==
+          missing) {
+        const std::scoped_lock lock(ctx.mutex);
+        ctx.all_done = true;
+      }
+      break;
     }
   }
 

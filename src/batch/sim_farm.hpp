@@ -11,8 +11,10 @@
 // have grown to a run's high-water mark. A worker hands its whole chunk
 // to Duv::simulate_batch as one call, with seeds and coverage vectors
 // in a per-worker Workspace reused across chunks; the per-template
-// distribution tables are compiled once per job (Duv::compile) and
-// shared read-only by every chunk of that job.
+// distribution tables are compiled once per job (Duv::compile), just
+// before that job's chunks are queued, and shared read-only by every
+// chunk of that job — so workers simulate early jobs while the caller
+// compiles later ones.
 // Submission round-robins across the per-worker deques and an idle
 // worker steals from its peers before sleeping, so one slow chunk never
 // serializes the pool behind a global queue lock. Hit counts accumulate
@@ -125,9 +127,9 @@ class SimFarm {
 
   /// Runs all jobs (interleaved across the pool); results are returned
   /// in job order. Each job's template is compiled once (Duv::compile)
-  /// before scheduling and the tables are shared by all of its chunks.
-  /// Rethrows the first exception any simulation raised, after every
-  /// chunk of this call has retired.
+  /// right before its chunks are queued, and the tables are shared by
+  /// all of its chunks. Rethrows the first exception any compile or
+  /// simulation raised, after every chunk of this call has retired.
   [[nodiscard]] std::vector<coverage::SimStats> run_all(
       const duv::Duv& duv, std::span<const Job> jobs);
 

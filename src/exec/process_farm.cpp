@@ -9,7 +9,6 @@
 #include <charconv>
 #include <csignal>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
@@ -256,6 +255,33 @@ bool ProcessFarm::read_frame(Worker& worker, std::string& payload) {
   return read_frame_fd(worker.from_child, payload);
 }
 
+std::vector<std::vector<ProcessFarm::WorkerJobSlice>> ProcessFarm::plan_slices(
+    std::span<const Job> jobs, std::size_t worker_n) {
+  std::vector<std::vector<WorkerJobSlice>> plan(worker_n);
+  // Worker that takes the next one-sim-longer slice: it advances past
+  // every such slice dealt, so across jobs the remainders (and whole
+  // small jobs) go round-robin instead of piling onto one worker.
+  std::size_t first = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t count = jobs[j].count;
+    const std::size_t base = count / worker_n;
+    const std::size_t extra = count % worker_n;
+    std::size_t begin = 0;
+    for (std::size_t k = 0; k < worker_n; ++k) {
+      const std::size_t end = begin + base + (k < extra ? 1 : 0);
+      if (end == begin) break;
+      WorkerJobSlice slice{j, {}};
+      for (std::size_t b = begin; b < end; b += kChunk) {
+        slice.chunks.emplace_back(b, std::min(b + kChunk, end));
+      }
+      plan[(first + k) % worker_n].push_back(std::move(slice));
+      begin = end;
+    }
+    first = (first + extra) % worker_n;
+  }
+  return plan;
+}
+
 std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
                                                      std::span<const Job> jobs) {
   const std::scoped_lock lock(run_mutex_);
@@ -284,37 +310,19 @@ std::vector<coverage::SimStats> ProcessFarm::run_all(const duv::Duv& duv,
 
   ensure_workers();
 
-  std::size_t chunk_count = 0;
+  std::size_t total_sims = 0;
   for (const Job& job : jobs) {
     ASCDG_ASSERT(job.tmpl != nullptr, "job with null template");
-    chunk_count += (job.count + kChunk - 1) / kChunk;
+    total_sims += job.count;
   }
-  if (chunk_count == 0) {
+  if (total_sims == 0) {
     metrics_.runs->inc();
     return std::vector<coverage::SimStats>(job_n,
                                            coverage::SimStats(event_count));
   }
 
-  // Round-robin the chunks across workers; each worker gets at most one
-  // slice per job (its share of that job's seed ranges).
   const std::size_t worker_n = workers_.size();
-  constexpr std::size_t kNoSlice = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<WorkerJobSlice>> plan(worker_n);
-  std::vector<std::vector<std::size_t>> slice_of(
-      worker_n, std::vector<std::size_t>(job_n, kNoSlice));
-  std::size_t next_worker = 0;
-  for (std::size_t j = 0; j < job_n; ++j) {
-    for (std::size_t begin = 0; begin < jobs[j].count; begin += kChunk) {
-      const std::size_t end = std::min(begin + kChunk, jobs[j].count);
-      const std::size_t w = next_worker++ % worker_n;
-      std::size_t& slice = slice_of[w][j];
-      if (slice == kNoSlice) {
-        slice = plan[w].size();
-        plan[w].push_back(WorkerJobSlice{j, {}});
-      }
-      plan[w][slice].chunks.emplace_back(begin, end);
-    }
-  }
+  const auto plan = plan_slices(jobs, worker_n);
 
   // One request frame per participating worker. Template text is
   // serialized once per job and shared across workers' frames.

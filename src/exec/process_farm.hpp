@@ -37,7 +37,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -82,18 +84,25 @@ class ProcessFarm final : public Backend {
     return metrics_.respawns->value();
   }
 
+  /// One job's chunk assignment for one worker (contiguous seed ranges).
+  struct WorkerJobSlice {
+    std::size_t job = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  };
+
+  /// The per-worker work plan of one run_all: each job's seed range is
+  /// split into `worker_n` near-equal contiguous slices (sizes differ by
+  /// at most one; empty ones are dropped), each cut into chunks of at
+  /// most 64 sims, so every worker gets at most one slice per job.
+  [[nodiscard]] static std::vector<std::vector<WorkerJobSlice>> plan_slices(
+      std::span<const Job> jobs, std::size_t worker_n);
+
  private:
   struct Worker {
     pid_t pid = -1;
     int to_child = -1;    ///< parent write end (worker requests)
     int from_child = -1;  ///< parent read end (worker responses)
     bool alive = false;
-  };
-
-  /// One job's chunk assignment for one worker (contiguous seed ranges).
-  struct WorkerJobSlice {
-    std::size_t job = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
   };
 
   void spawn_worker(std::size_t slot);

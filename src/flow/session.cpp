@@ -40,7 +40,8 @@ long parse_crash_after_writes() {
   return value;
 }
 
-/// See the ASCDG_CRASH_AFTER_WRITES doc on atomic_write_file.
+/// See the ASCDG_CRASH_AFTER_WRITES doc on atomic_write_file; an
+/// append_record counts as one write.
 void maybe_crash_after_write() {
   static const long crash_after = parse_crash_after_writes();
   if (crash_after <= 0) return;
@@ -81,6 +82,11 @@ std::string manifest_text(std::uint64_t fingerprint, std::uint64_t seed,
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content) {
   util::atomic_write_file(path, content);
+  maybe_crash_after_write();
+}
+
+void append_record(util::AppendLog& log, std::string_view record) {
+  log.append(record);
   maybe_crash_after_write();
 }
 

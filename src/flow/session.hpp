@@ -6,7 +6,9 @@
 // (templates and skeletons in the DSL via tgen::file_io, everything
 // else as JSON). Every write is atomic — temp file in the same
 // directory, then rename — so a SIGKILL at any instant leaves either
-// the previous checkpoint or the new one, never a torn file. Resuming
+// the previous checkpoint or the new one, never a torn file. Inside an
+// optimizer stage each iteration appends one record to the stage's
+// iteration log instead (append_record below). Resuming
 // (`ascdg run --session=DIR --resume`) re-opens the manifest, verifies
 // the config fingerprint, and replays completed stages from their
 // artifacts instead of re-simulating them. See docs/sessions.md.
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "flow/types.hpp"
+#include "util/fs.hpp"
 
 namespace ascdg::flow {
 
@@ -45,11 +48,18 @@ inline constexpr std::string_view kTraceFile = "trace.jsonl";
 ///
 /// Test hook: when the environment variable ASCDG_CRASH_AFTER_WRITES is
 /// set to N > 0, the process raises SIGKILL immediately after the N-th
-/// atomic write completes — the kill-and-resume tests use this to die
-/// deterministically at a checkpoint boundary. A value that is not a
-/// non-negative integer is a util::ConfigError, not a silent no-op.
+/// atomic write or append_record completes — the kill-and-resume tests
+/// use this to die deterministically at a checkpoint boundary. A value
+/// that is not a non-negative integer is a util::ConfigError, not a
+/// silent no-op.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content);
+
+/// Appends one record to `log` (util::AppendLog::append: one write and
+/// one fdatasync), then services the crash hook above, which counts an
+/// append as one write. Mid-stage optimizer checkpoints go through
+/// here; stage boundaries go through atomic_write_file.
+void append_record(util::AppendLog& log, std::string_view record);
 
 /// One pipeline stage's entry in the manifest.
 struct StageRecord {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "flow/runner.hpp"
 #include "tgen/file_io.hpp"
 #include "util/error.hpp"
+#include "util/fs.hpp"
 #include "util/jsonl.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -65,9 +67,12 @@ coverage::SimStats merged(const coverage::SimStats& prefix,
   return out;
 }
 
-/// Mid-stage optimizer checkpoint: the resumable IfCheckpoint plus the
-/// stage's cost prefix (sims / stats / cache traffic / wall spent so
-/// far), so a resumed stage reports totals as if never interrupted.
+/// Mid-stage optimizer checkpoint: one record of a stage's iteration
+/// log. The IfCheckpoint carries the state after the iteration and that
+/// iteration's record only; the stage's cost prefix (sims / stats /
+/// cache traffic / wall spent so far) lets a resumed stage report
+/// totals as if never interrupted. No field grows with the iteration
+/// number, so an append costs the same at iteration 1 and 1000.
 struct OptStageCheckpoint {
   opt::IfCheckpoint ifc;
   std::size_t sims = 0;
@@ -78,31 +83,60 @@ struct OptStageCheckpoint {
   double evidence = 0.0;  ///< refine only: the probe's real-target value
 };
 
-void write_opt_checkpoint(const std::filesystem::path& path,
-                          const OptStageCheckpoint& ckpt) {
-  atomic_write_file(path, util::JsonObject{}
-                              .add_raw("if", to_json(ckpt.ifc))
-                              .add("sims", ckpt.sims)
-                              .add_raw("stats", to_json(ckpt.stats))
-                              .add("cache_hits", ckpt.cache_hits)
-                              .add("cache_misses", ckpt.cache_misses)
-                              .add("wall_ms", ckpt.wall_ms)
-                              .add("evidence", ckpt.evidence)
-                              .str() +
-                              "\n");
+std::string iteration_log_name(std::string_view stage) {
+  return std::string(stage) + ".ckpt.jsonl";
 }
 
-OptStageCheckpoint read_opt_checkpoint(const std::filesystem::path& path) {
-  const util::JsonValue doc = read_json_file(path);
+/// Appends one iteration's record to the stage's log (one write and one
+/// fdatasync; counted by the crash hook like an atomic write).
+void append_opt_checkpoint(util::AppendLog& log,
+                           const OptStageCheckpoint& ckpt) {
+  append_record(log, util::JsonObject{}
+                         .add_raw("if", to_json(ckpt.ifc))
+                         .add("sims", ckpt.sims)
+                         .add_raw("stats", to_json(ckpt.stats))
+                         .add("cache_hits", ckpt.cache_hits)
+                         .add("cache_misses", ckpt.cache_misses)
+                         .add("wall_ms", ckpt.wall_ms)
+                         .add("evidence", ckpt.evidence)
+                         .str());
+}
+
+/// Rebuilds the resume state from a stage's iteration log: every
+/// field from the last record, the trace concatenated over all of them.
+/// nullopt when no iteration was committed.
+std::optional<OptStageCheckpoint> read_iteration_log(const Session& session,
+                                                     std::string_view stage) {
+  const auto records =
+      util::AppendLog::read(session.artifact_path(iteration_log_name(stage)));
+  if (records.empty()) return std::nullopt;
   OptStageCheckpoint ckpt;
-  ckpt.ifc = checkpoint_from_json(doc.at("if"));
-  ckpt.sims = doc.at("sims").as_size();
-  ckpt.stats = sim_stats_from_json(doc.at("stats"));
-  ckpt.cache_hits = doc.at("cache_hits").as_size();
-  ckpt.cache_misses = doc.at("cache_misses").as_size();
-  ckpt.wall_ms = doc.at("wall_ms").as_double();
-  ckpt.evidence = doc.at("evidence").as_double();
+  std::vector<opt::IterationRecord> trace;
+  for (const auto& record : records) {
+    ckpt.ifc = checkpoint_from_json(record.at("if"));
+    trace.insert(trace.end(), ckpt.ifc.trace.begin(), ckpt.ifc.trace.end());
+  }
+  ckpt.ifc.trace = std::move(trace);
+  const util::JsonValue& last = records.back();
+  ckpt.sims = last.at("sims").as_size();
+  ckpt.stats = sim_stats_from_json(last.at("stats"));
+  ckpt.cache_hits = last.at("cache_hits").as_size();
+  ckpt.cache_misses = last.at("cache_misses").as_size();
+  ckpt.wall_ms = last.at("wall_ms").as_double();
+  ckpt.evidence = last.at("evidence").as_double();
   return ckpt;
+}
+
+/// Builds before the iteration log rewrote one whole-state
+/// `<stage>.ckpt.json` per iteration. Such a leftover is removed and
+/// its stage reruns from the start, which reproduces the same result.
+void drop_legacy_checkpoint(const Session& session, std::string_view stage) {
+  std::error_code ec;
+  if (std::filesystem::remove(
+          session.artifact_path(std::string(stage) + ".ckpt.json"), ec)) {
+    util::log_warn(stage, ": removed a checkpoint from an older build; "
+                   "the stage reruns from its start");
+  }
 }
 
 void remove_if_exists(const std::filesystem::path& path) {
@@ -255,18 +289,17 @@ void OptimizeStage::run(StageContext& ctx) {
   // Cost prefix from an interrupted earlier attempt at this stage (zero
   // on a fresh run): the resumed totals must look uninterrupted.
   OptStageCheckpoint prefix;
-  const std::filesystem::path ckpt_path =
-      ctx.session != nullptr
-          ? ctx.session->artifact_path("optimization.ckpt.json")
-          : std::filesystem::path{};
+  std::optional<util::AppendLog> log;
   if (ctx.session != nullptr) {
-    if (std::filesystem::exists(ckpt_path)) {
-      prefix = read_opt_checkpoint(ckpt_path);
+    drop_legacy_checkpoint(*ctx.session, name());
+    if (auto resumed = read_iteration_log(*ctx.session, name())) {
+      prefix = std::move(*resumed);
       if_options.resume = &prefix.ifc;
       util::log_info("optimization: resuming from checkpoint at iteration ",
                      prefix.ifc.next_iteration, " (", prefix.sims,
                      " sims already spent)");
     }
+    log.emplace(ctx.session->artifact_path(iteration_log_name(name())));
     if_options.on_checkpoint = [&](const opt::IfCheckpoint& ifc) {
       OptStageCheckpoint ckpt;
       ckpt.ifc = ifc;
@@ -275,7 +308,7 @@ void OptimizeStage::run(StageContext& ctx) {
       ckpt.cache_hits = prefix.cache_hits + objective.cache_hits();
       ckpt.cache_misses = prefix.cache_misses + objective.cache_misses();
       ckpt.wall_ms = prefix.wall_ms + ms_since(ctx.stage_start);
-      write_opt_checkpoint(ckpt_path, ckpt);
+      append_opt_checkpoint(*log, ckpt);
     };
   }
 
@@ -305,7 +338,7 @@ void OptimizeStage::save(StageContext& ctx) const {
           .add("cache_misses", result.eval_cache_misses)
           .str() +
           "\n");
-  remove_if_exists(ctx.session->artifact_path("optimization.ckpt.json"));
+  remove_if_exists(ctx.session->artifact_path(iteration_log_name(name())));
 }
 
 void OptimizeStage::load(StageContext& ctx) const {
@@ -333,24 +366,23 @@ void RefineStage::run(StageContext& ctx) {
     const neighbors::ApproximatedTarget& target = *ctx.target;
     const cdg::EvalCacheConfig cache_config{.enabled = config.eval_cache,
                                             .capacity = 1024};
-    const std::filesystem::path ckpt_path =
-        ctx.session != nullptr
-            ? ctx.session->artifact_path("refinement.ckpt.json")
-            : std::filesystem::path{};
     OptStageCheckpoint prefix;
     bool mid_refine_resume = false;
-    if (ctx.session != nullptr && std::filesystem::exists(ckpt_path)) {
-      // The crash happened inside the refinement optimizer: the probe
-      // already ran and found evidence, so skip straight to resuming it.
-      prefix = read_opt_checkpoint(ckpt_path);
-      mid_refine_resume = true;
-      result.optimization_phase.sims = prefix.sims;
-      result.optimization_phase.stats = prefix.stats;
-      result.eval_cache_hits = prefix.cache_hits;
-      result.eval_cache_misses = prefix.cache_misses;
-      wall_base = prefix.wall_ms;
-      util::log_info("refinement: resuming from checkpoint at iteration ",
-                     prefix.ifc.next_iteration);
+    if (ctx.session != nullptr) {
+      drop_legacy_checkpoint(*ctx.session, name());
+      if (auto resumed = read_iteration_log(*ctx.session, name())) {
+        // The crash happened inside the refinement optimizer: the probe
+        // already ran and found evidence, so skip straight to resuming.
+        prefix = std::move(*resumed);
+        mid_refine_resume = true;
+        result.optimization_phase.sims = prefix.sims;
+        result.optimization_phase.stats = prefix.stats;
+        result.eval_cache_hits = prefix.cache_hits;
+        result.eval_cache_misses = prefix.cache_misses;
+        wall_base = prefix.wall_ms;
+        util::log_info("refinement: resuming from checkpoint at iteration ",
+                       prefix.ifc.next_iteration);
+      }
     }
 
     double evidence = prefix.evidence;
@@ -386,7 +418,9 @@ void RefineStage::run(StageContext& ctx) {
       const std::size_t base_hits = result.eval_cache_hits;
       const std::size_t base_misses = result.eval_cache_misses;
       if (mid_refine_resume) if_options.resume = &prefix.ifc;
+      std::optional<util::AppendLog> log;
       if (ctx.session != nullptr) {
+        log.emplace(ctx.session->artifact_path(iteration_log_name(name())));
         if_options.on_checkpoint = [&](const opt::IfCheckpoint& ifc) {
           OptStageCheckpoint ckpt;
           ckpt.ifc = ifc;
@@ -396,7 +430,7 @@ void RefineStage::run(StageContext& ctx) {
           ckpt.cache_misses = base_misses + refine_objective.cache_misses();
           ckpt.wall_ms = wall_base + ms_since(ctx.stage_start);
           ckpt.evidence = evidence;
-          write_opt_checkpoint(ckpt_path, ckpt);
+          append_opt_checkpoint(*log, ckpt);
         };
       }
       result.refinement = opt::implicit_filtering(refine_objective,
@@ -440,7 +474,7 @@ void RefineStage::save(StageContext& ctx) const {
       .add_raw("best_point", json_double_array(ctx.best_point));
   atomic_write_file(ctx.session->artifact_path("refinement.json"),
                     doc.str() + "\n");
-  remove_if_exists(ctx.session->artifact_path("refinement.ckpt.json"));
+  remove_if_exists(ctx.session->artifact_path(iteration_log_name(name())));
 }
 
 void RefineStage::load(StageContext& ctx) const {

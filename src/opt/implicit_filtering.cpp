@@ -280,7 +280,7 @@ OptResult implicit_filtering(Objective& objective, std::span<const double> x0,
       ckpt.evaluations = evaluations;
       ckpt.best_point = result.best_point;
       ckpt.best_value = result.best_value;
-      ckpt.trace = result.trace;
+      ckpt.trace.push_back(result.trace.back());
       ckpt.rng_state = rng.state();
       ckpt.eval_seed_counter = eval_seeds.counter();
       options.on_checkpoint(ckpt);

@@ -40,7 +40,9 @@ struct IfCheckpoint {
   std::size_t evaluations = 0;
   std::vector<double> best_point;
   double best_value = 0.0;
-  std::vector<IterationRecord> trace;  ///< completed iterations
+  /// Completed iterations. On resume it must hold all of them; in the
+  /// on_checkpoint callback it holds only the one just completed.
+  std::vector<IterationRecord> trace;
   std::array<std::uint64_t, 4> rng_state{};  ///< direction generator
   std::uint64_t eval_seed_counter = 0;       ///< seeds drawn so far
 };
@@ -85,9 +87,11 @@ struct ImplicitFilteringOptions {
   std::string trace_label = "opt";
 
   /// Durable-session hook: called after every completed iteration with
-  /// the full resumable state. Checkpoint cost is the caller's (the
-  /// session layer writes it to disk); evaluation dispatch never waits
-  /// on it. Exceptions propagate and abort the run.
+  /// the resumable state, whose `trace` holds only that iteration, so a
+  /// call costs O(1) whatever the iteration number. Concatenating the
+  /// traces of every call so far gives the full trace a resume needs.
+  /// Checkpoint cost is the caller's (the session layer appends it to
+  /// disk). Exceptions propagate and abort the run.
   std::function<void(const IfCheckpoint&)> on_checkpoint;
 
   /// Warm start from a previous run's checkpoint (not owned; read once

@@ -41,7 +41,8 @@ class FailurePoint {
     kAtomicWriteWrite,     ///< write(2) of the payload (fires a short write)
     kAtomicWriteFsync,     ///< fsync(2) of the temp file
     kAtomicWriteRename,    ///< rename(2) over the target
-    kAtomicWriteDirFsync,  ///< fsync(2) of the parent directory
+    kAtomicWriteDirFsync,  ///< fsync(2) of the parent directory (also
+                           ///< AppendLog's one fsync of a new log's name)
     kManifestRead,         ///< session manifest open/read
     kArtifactRead,         ///< stage artifact open/read
     kHttpAccept,           ///< HttpServer accept(2)
@@ -49,8 +50,10 @@ class FailurePoint {
     kHttpSend,             ///< HttpServer send(2)
     kExecPipeRead,         ///< exec::ProcessFarm read(2) of a worker frame
     kExecPipeWrite,        ///< exec::ProcessFarm write(2) of a worker frame
+    kAppendLogWrite,       ///< AppendLog write(2) of a record (short write)
+    kAppendLogSync,        ///< AppendLog fdatasync(2) of a record
   };
-  static constexpr int kIdCount = 12;
+  static constexpr int kIdCount = 14;
 
   /// The production-side hook: returns 0 when the point does not fire,
   /// else the errno to inject. One relaxed atomic load when nothing is

@@ -5,7 +5,8 @@
 // thing allowed to differ. Also pins the strict --backend parsing
 // contract: a bad spec is a usage error (exit 1) with a hint, never a
 // runtime error (exit 2) or a silent fallback; and that any other bad
-// `run` flag is a usage error before the first simulation.
+// flag is a usage error before the first simulation, and a flag's
+// value is never read as a positional argument.
 //
 // The binary path arrives via the ASCDG_CLI_PATH compile definition
 // (see tests/CMakeLists.txt).
@@ -178,6 +179,34 @@ TEST_F(BackendCli, TraceNeverTakesTheNextFlagAsItsFile) {
       << result.output;
   EXPECT_FALSE(fs::exists(dir_ / "--csv"));
   EXPECT_FALSE(fs::exists(dir_ / "out.csv"));
+}
+
+// A flag's value that precedes the unit is the flag's, not the unit:
+// every command consumes its flags before its positional arguments.
+TEST_F(BackendCli, FlagValueBeforeTheUnitIsNotTakenAsTheUnit) {
+  const CliResult flag_first =
+      run_cli(std::string(ASCDG_CLI_PATH) + " before --sims 50 io_unit");
+  EXPECT_EQ(flag_first.exit_code, 0) << flag_first.output;
+  EXPECT_EQ(flag_first.output.find("unknown unit"), std::string::npos)
+      << flag_first.output;
+  const CliResult unit_first =
+      run_cli(std::string(ASCDG_CLI_PATH) + " before io_unit --sims 50");
+  EXPECT_EQ(unit_first.exit_code, 0) << unit_first.output;
+  EXPECT_EQ(flag_first.output, unit_first.output);
+}
+
+// Stray flags fail every command before it simulates, not only `run`
+// and `campaign`: `holes` would otherwise run its whole suite first.
+TEST_F(BackendCli, UnknownFlagOnAuxiliaryCommandFailsBeforeAnySimulation) {
+  const CliResult result =
+      run_cli(std::string(ASCDG_CLI_PATH) +
+              " holes ifu --family ifu --sims 3000 --bogus");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("unrecognized argument(s): --bogus"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("maximal holes"), std::string::npos)
+      << result.output;
 }
 
 }  // namespace

@@ -56,6 +56,49 @@ class ThrowingDuv final : public duv::Duv {
   mutable std::atomic<std::size_t> calls_{0};
 };
 
+/// Forwards to an inner unit (compiled tables included) but throws from
+/// the `fail_at`-th compile (0-based) — models a template the unit
+/// cannot compile, arriving after earlier jobs are already running.
+class CompileThrowingDuv final : public duv::Duv {
+ public:
+  CompileThrowingDuv(const duv::Duv& inner, std::size_t fail_at)
+      : inner_(&inner), fail_at_(fail_at) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "compile_throwing";
+  }
+  [[nodiscard]] const coverage::CoverageSpace& space() const noexcept override {
+    return inner_->space();
+  }
+  [[nodiscard]] const tgen::TestTemplate& defaults() const noexcept override {
+    return inner_->defaults();
+  }
+  [[nodiscard]] coverage::CoverageVector simulate(
+      const tgen::TestTemplate& tmpl, std::uint64_t seed) const override {
+    return inner_->simulate(tmpl, seed);
+  }
+  [[nodiscard]] std::unique_ptr<Compiled> compile(
+      const tgen::TestTemplate& tmpl) const override {
+    if (compiles_.fetch_add(1, std::memory_order_relaxed) == fail_at_) {
+      throw util::Error("injected compile failure");
+    }
+    return inner_->compile(tmpl);
+  }
+  void simulate_batch(const tgen::TestTemplate& tmpl, const Compiled* compiled,
+                      std::span<const std::uint64_t> seeds,
+                      std::span<coverage::CoverageVector> out) const override {
+    inner_->simulate_batch(tmpl, compiled, seeds, out);
+  }
+  [[nodiscard]] std::vector<tgen::TestTemplate> suite() const override {
+    return inner_->suite();
+  }
+
+ private:
+  const duv::Duv* inner_;
+  std::size_t fail_at_;
+  mutable std::atomic<std::size_t> compiles_{0};
+};
+
 /// Forwards to an inner unit with an artificial per-simulation delay,
 /// so tests can observe the farm with work still queued.
 class SlowDuv final : public duv::Duv {
@@ -463,6 +506,35 @@ TEST(SimFarmV2, ExceptionInOneJobOfManyRetiresTheWholeCall) {
   const TelemetrySnapshot snap = farm.telemetry();
   EXPECT_EQ(snap.enqueued, 11u);
   EXPECT_GE(snap.exceptions, 1u);
+}
+
+// Jobs are compiled as they are enqueued, so a compile can fail after
+// earlier jobs' chunks are already running: the call must retire them,
+// rethrow the compile error, and leave the farm serving the next run.
+TEST(SimFarmV2, CompileFailureMidSubmissionRethrowsWithoutHanging) {
+  const duv::IoUnit io;
+  const CompileThrowingDuv bad(io, /*fail_at=*/2);  // job 3 of 8
+  const auto& tmpl = io.defaults();
+  SimFarm farm(4);
+  std::vector<SimFarm::Job> jobs(8, SimFarm::Job{&tmpl, 200, 0});
+  for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].seed_root = j;
+  try {
+    (void)farm.run_all(bad, jobs);
+    ADD_FAILURE() << "run_all swallowed the compile failure";
+  } catch (const util::Error& err) {
+    EXPECT_STREQ(err.what(), "injected compile failure");
+  }
+  const TelemetrySnapshot before = farm.telemetry();
+  EXPECT_EQ(before.queue_depth, 0u);
+  EXPECT_EQ(before.active_runs, 0u);
+  // Only the first two jobs (4 chunks of <= 64 sims each) were queued.
+  EXPECT_EQ(before.enqueued, 8u);
+
+  const auto stats = farm.run_all(io, jobs);
+  ASSERT_EQ(stats.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_EQ(stats[j], farm.run(io, tmpl, 200, j)) << "job " << j;
+  }
 }
 
 }  // namespace

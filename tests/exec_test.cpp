@@ -8,6 +8,7 @@
 #include <csignal>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -334,6 +335,58 @@ TEST(ProcessBackend, RefusesUnitsTheRegistryCannotResolve) {
   const auto io = duv::make_unit("io_unit");
   ASSERT_NE(io, nullptr);
   EXPECT_EQ(process_farm.run(*io, io->defaults(), 10, 1).sims(), 10u);
+}
+
+// Each job is split into near-equal contiguous slices, one per worker:
+// a 200-sim job on 4 workers is 50/50/50/50, not 64/64/64/8 with every
+// 8-sim tail on the same worker; and the longer slices rotate.
+TEST(ProcessBackend, PlanBalancesEveryJobAcrossWorkers) {
+  const tgen::TestTemplate tmpl("t");
+  std::vector<Job> jobs;
+  for (const std::size_t count :
+       std::vector<std::size_t>{200, 200, 10, 1, 0, 3, 257, 64, 7}) {
+    jobs.push_back({&tmpl, count, 0});
+  }
+  for (const std::size_t worker_n : std::vector<std::size_t>{1, 3, 4, 8}) {
+    const auto plan = ProcessFarm::plan_slices(jobs, worker_n);
+    ASSERT_EQ(plan.size(), worker_n);
+    std::vector<std::size_t> total(worker_n, 0);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::string label = "workers=" + std::to_string(worker_n) +
+                                " job=" + std::to_string(j);
+      std::vector<std::size_t> sims(worker_n, 0);
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      for (std::size_t w = 0; w < worker_n; ++w) {
+        std::size_t slices = 0;
+        for (const auto& slice : plan[w]) {
+          if (slice.job != j) continue;
+          ++slices;
+          for (const auto& [begin, end] : slice.chunks) {
+            EXPECT_LT(begin, end) << label;
+            EXPECT_LE(end - begin, 64u) << label;
+            sims[w] += end - begin;
+            total[w] += end - begin;
+            ranges.emplace_back(begin, end);
+          }
+        }
+        EXPECT_LE(slices, 1u) << label << " worker=" << w;
+      }
+      const auto [lo, hi] = std::minmax_element(sims.begin(), sims.end());
+      EXPECT_LE(*hi - *lo, 1u) << label;
+      // The chunks tile [0, count) exactly once.
+      std::sort(ranges.begin(), ranges.end());
+      std::size_t next = 0;
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin, next) << label;
+        next = end;
+      }
+      EXPECT_EQ(next, jobs[j].count) << label;
+    }
+    // The longer slices rotate across jobs, so the whole batch is
+    // balanced too, small jobs included.
+    const auto [lo, hi] = std::minmax_element(total.begin(), total.end());
+    EXPECT_LE(*hi - *lo, 1u) << "workers=" << worker_n;
+  }
 }
 
 // --- Session interplay -----------------------------------------------

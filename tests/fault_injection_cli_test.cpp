@@ -1,10 +1,10 @@
 // Randomized kill-and-resume fuzz harness against the real CLI binary.
 //
 // The sweep injects a failure (ENOSPC on fsync, short write, rename
-// failure — via ASCDG_FAIL_POINTS) at every Nth atomic-write point of a
-// sessioned `ascdg run`, for a swept set of N, then resumes without
-// injection and asserts the final artifacts are bit-identical to an
-// uninterrupted baseline run. A second sweep SIGKILLs the process at
+// failure, a failed iteration-log append — via ASCDG_FAIL_POINTS) at
+// every Nth atomic-write or append point of a sessioned `ascdg run`,
+// for a swept set of N, then resumes without injection and asserts the
+// final artifacts are bit-identical to an uninterrupted baseline run. A second sweep SIGKILLs the process at
 // the Nth completed write (ASCDG_CRASH_AFTER_WRITES) and asserts the
 // same. Either way, an interrupted durable session must converge to
 // exactly the result a crash-free run produces.
@@ -156,6 +156,25 @@ TEST(FaultFuzz, InjectedWriteFailuresResumeBitIdentical) {
       "atomic_write.rename=nth:%N%,errno=EIO",     // commit step fails
   };
   const std::vector<int> sweep = {1, 2, 3, 5, 8, 12, 17, 23};
+  std::vector<std::string> specs;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    std::string spec = kinds[i % kinds.size()];
+    spec.replace(spec.find("%N%"), 3, std::to_string(sweep[i]));
+    specs.push_back(spec);
+  }
+  // The optimizers' iteration logs: one append per iteration, three of
+  // them for these budgets, each kind at every one.
+  const std::vector<std::string> append_kinds = {
+      "append_log.write=nth:%N%,errno=ENOSPC",  // short write + ENOSPC
+      "append_log.sync=nth:%N%,errno=EIO",      // record never durable
+  };
+  for (const std::string& kind : append_kinds) {
+    for (const int n : {1, 2, 3}) {
+      std::string spec = kind;
+      spec.replace(spec.find("%N%"), 3, std::to_string(n));
+      specs.push_back(spec);
+    }
+  }
 
   for (const std::uint64_t seed : seed_matrix()) {
     const fs::path baseline_dir =
@@ -165,13 +184,12 @@ TEST(FaultFuzz, InjectedWriteFailuresResumeBitIdentical) {
     ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
     const FinalArtifacts want = read_final_artifacts(baseline_dir);
 
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      std::string spec = kinds[i % kinds.size()];
-      spec.replace(spec.find("%N%"), 3, std::to_string(sweep[i]));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::string& spec = specs[i];
       const std::string label =
           "seed=" + std::to_string(seed) + " spec=" + spec;
       const fs::path session = scratch_dir(
-          "inject_s" + std::to_string(seed) + "_n" + std::to_string(sweep[i]));
+          "inject_s" + std::to_string(seed) + "_" + std::to_string(i));
       const FinalArtifacts got = run_interrupt_and_converge(
           session, seed, "ASCDG_FAIL_POINTS='" + spec + "'", label);
       expect_identical(got, want, label);
@@ -180,7 +198,9 @@ TEST(FaultFuzz, InjectedWriteFailuresResumeBitIdentical) {
 }
 
 TEST(FaultFuzz, SigkillSweepResumesBitIdentical) {
-  const std::vector<int> sweep = {3, 7, 12, 18};
+  // 12 lands on an optimizer iteration's append; 20 is the last write
+  // of the run (the manifest marking harvest done).
+  const std::vector<int> sweep = {3, 7, 12, 18, 20};
   for (const std::uint64_t seed : seed_matrix()) {
     const fs::path baseline_dir =
         scratch_dir("kill_baseline_s" + std::to_string(seed));

@@ -1,8 +1,9 @@
 // Fault-injection layer: FailurePoint trigger semantics, the durable
-// atomic writer under injected ENOSPC/short-write/rename failures,
-// stale-temp reaping on session open, and the HTTP server's EINTR
-// handling (both injected deterministically and via a real interval-
-// timer signal storm).
+// atomic writer under injected ENOSPC/short-write/rename failures, the
+// append-only log (torn tails, corrupt lines, injected write/sync
+// failures), stale-temp reaping on session open, and the HTTP server's
+// EINTR handling (both injected deterministically and via a real
+// interval-timer signal storm).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -265,6 +266,109 @@ TEST_F(FaultTest, NoFsyncDurabilityNeverReachesTheFsyncSites) {
   EXPECT_EQ(read_file(dir / "a.json"), "data");
   EXPECT_EQ(FailurePoint::fires(Id::kAtomicWriteFsync), 0u);
   EXPECT_EQ(FailurePoint::fires(Id::kAtomicWriteDirFsync), 0u);
+}
+
+// ------------------------------------------------ append-only log
+
+using ascdg::util::AppendLog;
+
+/// The "i" field of every record the log at `path` reads back.
+std::vector<std::size_t> record_ids(const fs::path& path) {
+  std::vector<std::size_t> ids;
+  for (const auto& record : AppendLog::read(path)) {
+    ids.push_back(record.at("i").as_size());
+  }
+  return ids;
+}
+
+std::string record(std::size_t i, std::size_t pad = 0) {
+  return "{\"i\":" + std::to_string(i) + ",\"pad\":\"" +
+         std::string(pad, 'x') + "\"}";
+}
+
+TEST_F(FaultTest, AppendLogRoundTripsAcrossReopen) {
+  const fs::path file = scratch_dir("log_round_trip") / "sub" / "it.jsonl";
+  EXPECT_TRUE(AppendLog::read(file).empty());  // missing reads as empty
+  {
+    AppendLog log(file);
+    log.append(record(1));
+    log.append(record(2));
+  }
+  {
+    AppendLog log(file);  // reopen appends after the existing records
+    log.append(record(3));
+  }
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(read_file(file),
+            record(1) + "\n" + record(2) + "\n" + record(3) + "\n");
+}
+
+TEST_F(FaultTest, AppendLogReopenTruncatesTornTailThenAppendsCleanly) {
+  const fs::path file = scratch_dir("log_torn_tail") / "it.jsonl";
+  {
+    AppendLog log(file);
+    log.append(record(1));
+    log.append(record(2));
+  }
+  // A crash mid-append leaves a partial record without its newline.
+  std::ofstream(file, std::ios::app | std::ios::binary) << "{\"i\":3,\"pa";
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1, 2}));
+  {
+    AppendLog log(file);
+    EXPECT_EQ(read_file(file), record(1) + "\n" + record(2) + "\n");
+    log.append(record(4));
+  }
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1, 2, 4}));
+}
+
+TEST_F(FaultTest, AppendLogCorruptMiddleLineRaisesParseError) {
+  const fs::path file = scratch_dir("log_corrupt") / "it.jsonl";
+  std::ofstream(file, std::ios::binary)
+      << record(1) << "\n{\"i\":2,\"pad\n" << record(3) << "\n";
+  try {
+    (void)AppendLog::read(file);
+    ADD_FAILURE() << "a corrupt complete line was accepted";
+  } catch (const ascdg::util::ParseError& err) {
+    EXPECT_EQ(err.line(), 2u) << err.what();
+    EXPECT_NE(std::string(err.what()).find("it.jsonl"), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST_F(FaultTest, AppendLogWriteFailureLeavesNoTornRecord) {
+  const fs::path file = scratch_dir("log_write_fail") / "it.jsonl";
+  AppendLog log(file);
+  log.append(record(1));
+  // A short write: half the record lands, then ENOSPC.
+  FailurePoint::prime_one_shot(Id::kAppendLogWrite, ENOSPC);
+  EXPECT_THROW(log.append(record(2, 4096)), ascdg::util::Error);
+  EXPECT_EQ(FailurePoint::fires(Id::kAppendLogWrite), 1u);
+  EXPECT_EQ(read_file(file), record(1) + "\n");
+  log.append(record(3));
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1, 3}));
+}
+
+TEST_F(FaultTest, AppendLogSyncFailureLeavesNoTornRecord) {
+  const fs::path file = scratch_dir("log_sync_fail") / "it.jsonl";
+  AppendLog log(file);
+  log.append(record(1));
+  // The record was written whole but never made durable: it must not
+  // count as committed, so it is cut off again.
+  FailurePoint::prime_one_shot(Id::kAppendLogSync, EIO);
+  EXPECT_THROW(log.append(record(2)), ascdg::util::Error);
+  EXPECT_EQ(FailurePoint::fires(Id::kAppendLogSync), 1u);
+  EXPECT_EQ(read_file(file), record(1) + "\n");
+  log.append(record(3));
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1, 3}));
+}
+
+TEST_F(FaultTest, AppendLogNoFsyncNeverReachesTheSyncSite) {
+  const fs::path file = scratch_dir("log_no_fsync") / "it.jsonl";
+  FailurePoint::prime_one_shot(Id::kAppendLogSync, EIO);
+  AppendLog log(file, Durability::kNoFsync);
+  EXPECT_NO_THROW(log.append(record(1)));
+  EXPECT_EQ(FailurePoint::fires(Id::kAppendLogSync), 0u);
+  EXPECT_EQ(record_ids(file), (std::vector<std::size_t>{1}));
 }
 
 // ------------------------------------------------ session integration

@@ -2,10 +2,12 @@
 // round-trips, manifest lifecycle and rejection paths, config
 // fingerprinting, resume-without-resimulation for single runs and
 // campaigns, bit-identical optimizer restart from a serialized
-// checkpoint, the run / run_from_template shared-tail regression, and
-// the per-stage trace spans agreeing with the stage ledger.
+// checkpoint, resume from the optimizer stages' iteration logs, the
+// run / run_from_template shared-tail regression, and the per-stage
+// trace spans agreeing with the stage ledger.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,7 @@
 #include "opt/implicit_filtering.hpp"
 #include "opt/synthetic.hpp"
 #include "util/error.hpp"
+#include "util/failure.hpp"
 #include "util/json.hpp"
 
 namespace ascdg::flow {
@@ -358,9 +361,18 @@ TEST(OptimizerRestart, SerializedCheckpointResumesBitIdentically) {
   options.direction_mode = opt::DirectionMode::kSparse;
   options.seed = 42;
 
+  // Each checkpoint carries only its own iteration; the trace so far is
+  // their concatenation, as the session's iteration log rebuilds it.
+  std::vector<opt::IterationRecord> trace_so_far;
   std::string ckpt_json;
   options.on_checkpoint = [&](const opt::IfCheckpoint& ckpt) {
-    if (ckpt.next_iteration == 2) ckpt_json = to_json(ckpt);
+    ASSERT_EQ(ckpt.trace.size(), 1u);
+    trace_so_far.push_back(ckpt.trace.front());
+    if (ckpt.next_iteration == 2) {
+      opt::IfCheckpoint full = ckpt;
+      full.trace = trace_so_far;
+      ckpt_json = to_json(full);
+    }
   };
   opt::BernoulliHill objective({0.7, 0.3, 0.5}, 0.6, 4.0, 50);
   const std::vector<double> x0 = {0.5, 0.5, 0.5};
@@ -591,6 +603,143 @@ TEST(SessionedRun, TraceHasOneSpanPerStageMatchingTheLedger) {
     if (name == "refinement") ++under_refinement;
   }
   EXPECT_EQ(under_refinement, 1u + result.refinement->trace.size());
+}
+
+// ------------------------------------------------------- iteration log --
+
+/// A sessioned flow that also refines on the real target, so both
+/// optimizer stages keep an iteration log.
+FlowConfig logged_config(const fs::path& dir) {
+  FlowConfig config = small_config();
+  config.session_dir = dir.string();
+  config.opt_max_iterations = 6;
+  config.refine_with_real_target = true;
+  config.refine_threshold = 0.0;  // any evidence switches objectives
+  config.refine_max_iterations = 3;
+  return config;
+}
+
+class IterationLog : public ::testing::Test {
+ protected:
+  void TearDown() override { util::FailurePoint::disarm_all(); }
+
+  FlowResult run(const FlowConfig& config) {
+    exec::ThreadFarm farm(2);
+    CdgRunner runner(io_, farm, config);
+    return runner.run_from_template(target_, io_.suite().front());
+  }
+
+  /// Runs until the `k`-th iteration append fails, leaving the running
+  /// stage's log with the records before it.
+  void run_until_append(const FlowConfig& config, std::uint64_t k) {
+    util::FailurePoint::prime_every_nth(
+        util::FailurePoint::Id::kAppendLogWrite, k, ENOSPC);
+    EXPECT_THROW((void)run(config), Error);
+    util::FailurePoint::disarm_all();
+  }
+
+  /// Every result field a resumed flow must reproduce bit for bit (wall
+  /// times aside).
+  static void expect_same_flow(const FlowResult& got, const FlowResult& want,
+                               const std::string& label) {
+    EXPECT_EQ(to_json(got.optimization), to_json(want.optimization)) << label;
+    ASSERT_EQ(got.refinement.has_value(), want.refinement.has_value())
+        << label;
+    if (want.refinement.has_value()) {
+      EXPECT_EQ(to_json(*got.refinement), to_json(*want.refinement)) << label;
+    }
+    EXPECT_EQ(got.optimization_phase.sims, want.optimization_phase.sims)
+        << label;
+    EXPECT_EQ(got.optimization_phase.stats, want.optimization_phase.stats)
+        << label;
+    EXPECT_EQ(got.best_template, want.best_template) << label;
+    EXPECT_EQ(got.harvest_phase.stats, want.harvest_phase.stats) << label;
+  }
+
+  const duv::IoUnit io_;
+  const neighbors::ApproximatedTarget target_ = neighbors::family_target(
+      io_.space(), "crc", coverage::SimStats(io_.space().size()));
+};
+
+/// A record's structure with every scalar reduced to its kind: records
+/// of equal shape have the same keys and array lengths, so their sizes
+/// differ only by the digits of their values.
+std::string json_shape(const util::JsonValue& value) {
+  std::string out;
+  if (value.is_object()) {
+    out += '{';
+    for (const auto& [key, member] : value.as_object()) {
+      out += key + ':' + json_shape(member) + ',';
+    }
+    out += '}';
+  } else if (value.is_array()) {
+    out += '[';
+    for (const auto& element : value.as_array()) out += json_shape(element);
+    out += ']';
+  } else {
+    out += std::to_string(static_cast<int>(value.kind()));
+  }
+  return out;
+}
+
+TEST_F(IterationLog, RecordSizeDoesNotGrowWithTheIterationNumber) {
+  const fs::path dir = scratch_dir("log_record_size");
+  FlowConfig config = logged_config(dir);
+  config.opt_max_iterations = 12;
+  config.opt_min_step = 1e-9;  // run every iteration
+  run_until_append(config, 12);
+
+  // A whole-state checkpoint carried the trace so far, one entry more
+  // per iteration; every log record has the first one's shape.
+  std::ifstream is(dir / "optimization.ckpt.jsonl", std::ios::binary);
+  std::vector<std::string> shapes;
+  std::string line;
+  while (std::getline(is, line)) {
+    const util::JsonValue record = util::json_parse(line);
+    EXPECT_EQ(record.at("if").at("trace").as_array().size(), 1u);
+    EXPECT_EQ(record.at("if").at("next_iteration").as_size(),
+              shapes.size() + 1);
+    shapes.push_back(json_shape(record));
+    EXPECT_EQ(shapes.back(), shapes.front()) << "record " << shapes.size();
+  }
+  EXPECT_EQ(shapes.size(), 11u);
+}
+
+TEST_F(IterationLog, ResumeFromTheLogIsBitIdentical) {
+  const FlowResult want = run(logged_config(scratch_dir("log_baseline")));
+  ASSERT_TRUE(want.refinement.has_value());
+  const std::size_t opt_n = want.optimization.trace.size();
+  const std::size_t refine_n = want.refinement->trace.size();
+  ASSERT_GE(opt_n, 2u);
+  ASSERT_GE(refine_n, 2u);
+
+  // Interrupt at the first and the last optimization append and in the
+  // middle of refinement; each resume must finish the same flow.
+  for (const std::size_t k : {std::size_t{1}, opt_n, opt_n + 2}) {
+    const std::string label = "interrupted at append " + std::to_string(k);
+    const fs::path dir = scratch_dir("log_resume_" + std::to_string(k));
+    FlowConfig config = logged_config(dir);
+    run_until_append(config, k);
+    const std::string stage = k <= opt_n ? "optimization" : "refinement";
+    EXPECT_TRUE(fs::exists(dir / (stage + ".ckpt.jsonl"))) << label;
+
+    config.resume = true;
+    expect_same_flow(run(config), want, label);
+    EXPECT_FALSE(fs::exists(dir / "optimization.ckpt.jsonl")) << label;
+    EXPECT_FALSE(fs::exists(dir / "refinement.ckpt.jsonl")) << label;
+  }
+}
+
+TEST_F(IterationLog, OlderBuildsWholeStateCheckpointIsRemovedAndTheStageReruns) {
+  const FlowResult want = run(logged_config(scratch_dir("legacy_baseline")));
+  const fs::path dir = scratch_dir("legacy_ckpt");
+  FlowConfig config = logged_config(dir);
+  run_until_append(config, 1);  // optimization in flight, log empty
+  std::ofstream(dir / "optimization.ckpt.json") << "{\"if\":\"stale\"}\n";
+
+  config.resume = true;
+  expect_same_flow(run(config), want, "legacy checkpoint");
+  EXPECT_FALSE(fs::exists(dir / "optimization.ckpt.json"));
 }
 
 // ------------------------------------------------------------ campaign --

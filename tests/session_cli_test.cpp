@@ -114,7 +114,7 @@ TEST(SessionCli, KillMidOptimizationThenResume) {
   }
   EXPECT_TRUE(opt_running);
   EXPECT_FALSE(all_done);
-  EXPECT_TRUE(fs::exists(session / "optimization.ckpt.json"));
+  EXPECT_TRUE(fs::exists(session / "optimization.ckpt.jsonl"));
 
   // 2. Resume finishes the run from the last checkpoint.
   const CliResult resumed = run_cli(run_command(session, "--resume"));
@@ -131,7 +131,7 @@ TEST(SessionCli, KillMidOptimizationThenResume) {
   }
   EXPECT_TRUE(fs::exists(session / "best_template.tmpl"));
   // The mid-flight checkpoint was retired with its stage.
-  EXPECT_FALSE(fs::exists(session / "optimization.ckpt.json"));
+  EXPECT_FALSE(fs::exists(session / "optimization.ckpt.jsonl"));
 
   // 3. Resuming the completed session replays every stage from its
   // artifact: only the (unsessioned) before-CDG suite is simulated, so

@@ -131,7 +131,9 @@ class Args {
     for (int i = first; i < argc; ++i) args_.emplace_back(argv[i]);
   }
 
-  /// First non-flag positional argument, consumed.
+  /// First non-flag positional argument, consumed. Call it after the
+  /// command's flags are consumed: until then a space-separated flag
+  /// value (the 50 in `--sims 50`) looks like a positional too.
   std::optional<std::string> positional() {
     for (std::size_t i = 0; i < args_.size(); ++i) {
       if (!args_[i].starts_with("--")) {
@@ -267,7 +269,8 @@ coverage::CoverageRepository simulate_suite(const duv::Duv& unit,
   return repo;
 }
 
-int cmd_units() {
+int cmd_units(Args& args) {
+  if (args.reject_unrecognized()) return 1;
   for (const auto& name : duv::unit_names()) {
     std::cout << name << std::string(name.size() < 10 ? 10 - name.size() : 1, ' ')
               << duv::unit_description(name) << '\n';
@@ -279,6 +282,7 @@ int cmd_events(Args& args) {
   const auto unit = unit_from_args(args);
   if (unit == nullptr) return 1;
   const auto prefix = args.positional().value_or("");
+  if (args.reject_unrecognized()) return 1;
   const auto& space = unit->space();
   std::size_t shown = 0;
   for (std::size_t i = 0; i < space.size(); ++i) {
@@ -296,10 +300,12 @@ int cmd_events(Args& args) {
 }
 
 int cmd_suite(Args& args) {
+  const auto out = args.value("--out");
   const auto unit = unit_from_args(args);
   if (unit == nullptr) return 1;
+  if (args.reject_unrecognized()) return 1;
   const auto suite = unit->suite();
-  if (const auto out = args.value("--out"); out.has_value()) {
+  if (out.has_value()) {
     tgen::save_templates(*out, suite);
     std::cerr << "wrote " << suite.size() << " templates to " << *out << '\n';
     return 0;
@@ -309,17 +315,19 @@ int cmd_suite(Args& args) {
 }
 
 int cmd_skeletonize(Args& args) {
-  const auto file = args.positional();
-  if (!file.has_value()) return usage();
   cdg::SkeletonizerOptions options;
   options.subranges = args.size_value("--subranges", options.subranges);
   if (args.flag("--geometric")) {
     options.spacing = cdg::SubrangeSpacing::kGeometric;
   }
   options.mark_zero_weights = args.flag("--mark-zeros");
+  const auto out = args.value("--out");
+  const auto file = args.positional();
+  if (!file.has_value()) return usage();
+  if (args.reject_unrecognized()) return 1;
   const auto tmpl = tgen::load_template(*file);
   const auto skeleton = cdg::Skeletonizer(options).skeletonize(tmpl);
-  if (const auto out = args.value("--out"); out.has_value()) {
+  if (out.has_value()) {
     tgen::save_skeleton(*out, skeleton);
     std::cerr << "wrote skeleton (" << skeleton.mark_count() << " marks) to "
               << *out << '\n';
@@ -331,11 +339,13 @@ int cmd_skeletonize(Args& args) {
 }
 
 int cmd_before(Args& args) {
-  const auto unit = unit_from_args(args);
-  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 2000);
+  const auto csv = args.value("--csv");
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
+  if (args.reject_unrecognized()) return 1;
   const auto repo = simulate_suite(*unit, *farm, sims);
 
   util::Table table({"template", "sims", "events hit", "uncovered after"});
@@ -367,7 +377,7 @@ int cmd_before(Args& args) {
     std::cout << ' ' << unit->space().name(event);
   }
   std::cout << '\n';
-  if (const auto csv = args.value("--csv"); csv.has_value()) {
+  if (csv.has_value()) {
     std::ofstream out(*csv);
     table.render_csv(out);
     std::cerr << "wrote " << *csv << '\n';
@@ -376,11 +386,12 @@ int cmd_before(Args& args) {
 }
 
 int cmd_policy(Args& args) {
-  const auto unit = unit_from_args(args);
-  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 2000);
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
+  if (args.reject_unrecognized()) return 1;
   const auto repo = simulate_suite(*unit, *farm, sims);
   const tac::Tac tac_view(repo);
   const auto policy = tac_view.suggest_regression_policy();
@@ -391,9 +402,10 @@ int cmd_policy(Args& args) {
 }
 
 int cmd_profile(Args& args) {
+  const std::size_t sims = args.size_value("--sims", 500);
   const auto unit = unit_from_args(args);
   if (unit == nullptr) return 1;
-  const std::size_t sims = args.size_value("--sims", 500);
+  if (args.reject_unrecognized()) return 1;
   stimgen::ScopedDrawProfiler profiler;
   for (std::size_t i = 0; i < sims; ++i) {
     (void)unit->simulate(unit->defaults(), 0xF0F1A + i);
@@ -413,22 +425,23 @@ int cmd_profile(Args& args) {
 }
 
 int cmd_holes(Args& args) {
-  const auto unit = unit_from_args(args);
-  if (unit == nullptr) return 1;
   const auto family = args.value("--family");
   if (!family.has_value()) {
     std::cerr << "holes: --family is required\n";
-    return 1;
-  }
-  const auto* cp = unit->space().find_cross_product(*family);
-  if (cp == nullptr) {
-    std::cerr << "'" << *family << "' is not a cross product on this unit\n";
     return 1;
   }
   const std::size_t sims = args.size_value("--sims", 2000);
   const std::size_t max_order = args.size_value("--max-order", 2);
   const auto farm = backend_from_args(args);
   if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
+  if (args.reject_unrecognized()) return 1;
+  const auto* cp = unit->space().find_cross_product(*family);
+  if (cp == nullptr) {
+    std::cerr << "'" << *family << "' is not a cross product on this unit\n";
+    return 1;
+  }
   const auto repo = simulate_suite(*unit, *farm, sims);
   const auto holes =
       coverage::find_holes(unit->space(), *cp, repo.total(), max_order);
@@ -478,14 +491,11 @@ flow::FlowConfig flow_config_from_args(Args& args, std::size_t& before_sims) {
 }
 
 int cmd_run(Args& args) {
-  const auto unit = unit_from_args(args);
-  if (unit == nullptr) return 1;
   const auto family = args.value("--family");
   if (!family.has_value()) {
     std::cerr << "run: --family is required\n";
     return 1;
   }
-  if (!known_family(*unit, *family)) return 1;
 
   std::size_t before_sims = 0;
   flow::FlowConfig config = flow_config_from_args(args, before_sims);
@@ -532,6 +542,9 @@ int cmd_run(Args& args) {
   // (docs/backends.md).
   const auto farm = backend_from_args(args, &config.backend);
   if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
+  if (!known_family(*unit, *family)) return 1;
   // Every flag is consumed: a stray one fails before any simulation.
   if (args.reject_unrecognized()) return 1;
 
@@ -695,13 +708,21 @@ int cmd_run(Args& args) {
 }
 
 int cmd_campaign(Args& args) {
-  const auto unit = unit_from_args(args);
-  if (unit == nullptr) return 1;
   const auto families_arg = args.value("--families");
   if (!families_arg.has_value()) {
     std::cerr << "campaign: --families F1,F2,... is required\n";
     return 1;
   }
+  std::size_t before_sims = 0;
+  flow::FlowConfig config = flow_config_from_args(args, before_sims);
+  const auto seed_template_name = args.value("--seed-template");
+  const auto save_best = args.value("--save-best");
+  // Construct the backend before the timeline sampler thread below:
+  // the process backend forks, and fork + threads do not mix.
+  const auto farm = backend_from_args(args, &config.backend);
+  if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args);
+  if (unit == nullptr) return 1;
   std::vector<std::string> family_names;
   for (const auto family : util::split(*families_arg, ',')) {
     if (family.empty()) continue;
@@ -712,15 +733,6 @@ int cmd_campaign(Args& args) {
     std::cerr << "campaign: --families lists no usable family\n";
     return 1;
   }
-
-  std::size_t before_sims = 0;
-  flow::FlowConfig config = flow_config_from_args(args, before_sims);
-  const auto seed_template_name = args.value("--seed-template");
-  const auto save_best = args.value("--save-best");
-  // Construct the backend before the timeline sampler thread below:
-  // the process backend forks, and fork + threads do not mix.
-  const auto farm = backend_from_args(args, &config.backend);
-  if (farm == nullptr) return 1;
   // Every flag is consumed: a stray one fails before any simulation.
   if (args.reject_unrecognized()) return 1;
   // The campaign timeline lives at the campaign root, spanning every
@@ -1150,13 +1162,14 @@ std::string inspection_json(const InspectData& data) {
 }
 
 int cmd_inspect(Args& args) {
+  const bool as_json = args.flag("--json");
+  const auto compare_dir = args.value("--compare");
   const auto dir = args.positional();
   if (!dir.has_value()) {
     std::cerr << "inspect: a session directory is required\n";
     return 1;
   }
-  const bool as_json = args.flag("--json");
-  const auto compare_dir = args.value("--compare");
+  if (args.reject_unrecognized()) return 1;
 
   const InspectData a = inspect_dir(*dir);
   if (!compare_dir.has_value()) {
@@ -1239,15 +1252,16 @@ int cmd_inspect(Args& args) {
 }
 
 int cmd_metrics_dump(Args& args) {
-  const auto unit = unit_from_args(args, "io_unit");
-  if (unit == nullptr) return 1;
   const std::size_t sims = args.size_value("--sims", 200);
   const bool as_json = args.flag("--json");
+  const auto farm = backend_from_args(args);
+  if (farm == nullptr) return 1;
+  const auto unit = unit_from_args(args, "io_unit");
+  if (unit == nullptr) return 1;
+  if (args.reject_unrecognized()) return 1;
 
   // Exercise the farm + TAC so the registry has something to show:
   // every metric family a real run would touch gets registered here.
-  const auto farm = backend_from_args(args);
-  if (farm == nullptr) return 1;
   const auto repo = simulate_suite(*unit, *farm, sims);
   const tac::Tac tac_view(repo);
   (void)tac_view.best_templates(tac_view.uncovered_events(), 3);
@@ -1275,37 +1289,22 @@ int main(int argc, char** argv) {
     // Arm fault-injection points before any IO so the fuzz harness can
     // hit the very first manifest write; a malformed spec is fatal.
     util::FailurePoint::install_from_env();
-    int rc;
-    if (command == "units") {
-      rc = cmd_units();
-    } else if (command == "events") {
-      rc = cmd_events(args);
-    } else if (command == "suite") {
-      rc = cmd_suite(args);
-    } else if (command == "skeletonize") {
-      rc = cmd_skeletonize(args);
-    } else if (command == "before") {
-      rc = cmd_before(args);
-    } else if (command == "policy") {
-      rc = cmd_policy(args);
-    } else if (command == "profile") {
-      rc = cmd_profile(args);
-    } else if (command == "holes") {
-      rc = cmd_holes(args);
-    } else if (command == "run") {
-      rc = cmd_run(args);
-    } else if (command == "campaign") {
-      rc = cmd_campaign(args);
-    } else if (command == "inspect") {
-      rc = cmd_inspect(args);
-    } else if (command == "metrics-dump") {
-      rc = cmd_metrics_dump(args);
-    } else {
-      return usage();
-    }
-    // `run` and `campaign` check before simulating; the rest check here.
-    if (rc == 0 && args.reject_unrecognized()) return 1;
-    return rc;
+    // Every command consumes its flags before its positional arguments
+    // (so a flag's value is never read as one) and rejects leftovers
+    // before it simulates anything.
+    if (command == "units") return cmd_units(args);
+    if (command == "events") return cmd_events(args);
+    if (command == "suite") return cmd_suite(args);
+    if (command == "skeletonize") return cmd_skeletonize(args);
+    if (command == "before") return cmd_before(args);
+    if (command == "policy") return cmd_policy(args);
+    if (command == "profile") return cmd_profile(args);
+    if (command == "holes") return cmd_holes(args);
+    if (command == "run") return cmd_run(args);
+    if (command == "campaign") return cmd_campaign(args);
+    if (command == "inspect") return cmd_inspect(args);
+    if (command == "metrics-dump") return cmd_metrics_dump(args);
+    return usage();
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';
     return 2;
